@@ -1,4 +1,4 @@
-// Dynamic-update acceptance benchmark (DESIGN.md §14): on a 100k-vertex
+// Dynamic-update acceptance benchmark (DESIGN.md §13): on a 100k-vertex
 // RMAT graph with batches of at most 64 edge updates, compare applying a
 // batch incrementally (delta overlay + candidate repair + anchored delta
 // enumeration through ContinuousMatcher) against what a static system must

@@ -4,22 +4,8 @@
 // the density by randomly keeping 40/60/80/100% of the edges, and vary |Σ|
 // over {64, 96, 128, 160}; report the mean query time of GQLfs and RIfs on
 // Q16D.
-// The sharded section (c) departs from the paper: it measures the sharded
-// executor (DESIGN.md §13) on a community-structured analog — per-shard
-// auxiliary-memory peak and end-to-end throughput against the monolithic
-// run, with exact count equality checked per query — and writes
-// BENCH_sharding.json for the CI regression guard.
-#include <algorithm>
-#include <cstdio>
-
 #include "report.h"
 #include "runner.h"
-#include "sgm/graph/graph_builder.h"
-#include "sgm/graph/graph_utils.h"
-#include "sgm/obs/json.h"
-#include "sgm/plan.h"
-#include "sgm/shard/sharded_graph.h"
-#include "sgm/util/timer.h"
 
 namespace sgm::bench {
 namespace {
@@ -48,221 +34,6 @@ void Report(const Graph& data, const BenchConfig& config,
             FormatDouble(RunQuerySet(data, queries,
                                      Configured(Algorithm::kRI, config))
                              .total_ms.mean())});
-}
-
-// Community-structured data graph for the sharded experiment: `communities`
-// dense Erdős–Rényi blocks joined by a small number of cross edges. The
-// shape mirrors the workloads sharding targets (social/web graphs with
-// locality): a greedy edge-cut partitioner recovers the blocks, so the cut
-// — and with it the boundary region — stays small.
-Graph MakeCommunityGraph(uint32_t vertices, uint32_t communities,
-                         uint32_t intra_edges, uint32_t cross_edges,
-                         uint32_t labels, Prng* prng) {
-  GraphBuilder builder;
-  for (uint32_t v = 0; v < vertices; ++v) {
-    builder.AddVertex(static_cast<Label>(prng->NextBounded(labels)));
-  }
-  const uint32_t block = vertices / communities;
-  uint32_t added = 0;
-  while (added < intra_edges) {
-    const uint32_t c = static_cast<uint32_t>(prng->NextBounded(communities));
-    const Vertex base = c * block;
-    const auto u = static_cast<Vertex>(base + prng->NextBounded(block));
-    const auto v = static_cast<Vertex>(base + prng->NextBounded(block));
-    if (builder.AddEdge(u, v)) ++added;
-  }
-  added = 0;
-  while (added < cross_edges) {
-    const uint32_t c1 = static_cast<uint32_t>(prng->NextBounded(communities));
-    const uint32_t c2 = static_cast<uint32_t>(prng->NextBounded(communities));
-    if (c1 == c2) continue;
-    const auto u = static_cast<Vertex>(c1 * block + prng->NextBounded(block));
-    const auto v = static_cast<Vertex>(c2 * block + prng->NextBounded(block));
-    if (builder.AddEdge(u, v)) ++added;
-  }
-  return builder.Build();
-}
-
-// Ego-net queries for the sharded experiment: a random center plus five of
-// its neighbors, induced. Embeddings exist by construction, and every query
-// edge touches the center, so the boundary pass's cut region (radius = the
-// query's worst edge eccentricity, here 1) stays a small fraction of the
-// data graph — the regime sharding is built for. Six vertices keep the
-// enumeration heavy enough that the per-pass plan-build overhead of the
-// sharded path amortizes.
-std::vector<Graph> MakeEgoQueries(const Graph& data, uint32_t count,
-                                  Prng* prng) {
-  std::vector<Graph> queries;
-  for (int attempt = 0; attempt < 1000 && queries.size() < count; ++attempt) {
-    const auto center =
-        static_cast<Vertex>(prng->NextBounded(data.vertex_count()));
-    const auto neighbors = data.neighbors(center);
-    if (neighbors.size() < 5) continue;
-    std::vector<Vertex> picked = {center};
-    while (picked.size() < 6) {
-      const Vertex v = neighbors[prng->NextBounded(neighbors.size())];
-      if (std::find(picked.begin(), picked.end(), v) == picked.end()) {
-        picked.push_back(v);
-      }
-    }
-    std::sort(picked.begin(), picked.end());
-    queries.push_back(InducedSubgraph(data, picked));
-  }
-  return queries;
-}
-
-void RunShardedSection(const BenchConfig& config) {
-  std::printf("\n(c) sharded execution (community analog, greedy partition)\n");
-
-  const uint32_t vertices = config.full_scale ? 600000 : 60000;
-  const uint32_t intra_edges = config.full_scale ? 2400000 : 240000;
-  const uint32_t cross_edges = config.full_scale ? 480 : 48;
-  constexpr uint32_t kCommunities = 8;
-  // A small alphabet keeps candidate sets large (|V|/|Σ| per query vertex),
-  // so the auxiliary structures that the per-shard memory criterion tracks
-  // are dominated by candidates — which scale with shard size — rather
-  // than by fixed per-pass overhead, and enumeration is heavy enough to
-  // amortize the sharded path's per-pass plan builds.
-  constexpr uint32_t kLabels = 4;
-  Prng prng(config.seed + 180);
-  const Graph data = MakeCommunityGraph(vertices, kCommunities, intra_edges,
-                                        cross_edges, kLabels, &prng);
-  std::printf("community analog: |V|=%u |E|=%u |Sigma|=%u communities=%u"
-              " cross-edges=%u\n",
-              data.vertex_count(), data.edge_count(), kLabels, kCommunities,
-              cross_edges);
-
-  Prng query_prng(config.seed + 181);
-  const auto queries = MakeEgoQueries(
-      data, std::min(config.queries_per_set, 10u), &query_prng);
-  if (queries.empty()) {
-    std::printf("no queries extracted; skipping sharded section\n");
-    return;
-  }
-  const MatchOptions options = Configured(Algorithm::kGraphQL, config);
-
-  // Monolithic reference: per-query counts, total wall time, aux bytes.
-  // One untimed warmup loop first — both configurations are measured in
-  // steady state (the sharded executor caches the cut region per radius;
-  // the warmup also settles the allocator).
-  std::vector<uint64_t> mono_counts;
-  double mono_wall_ms = 0.0;
-  uint64_t mono_aux_sum = 0;
-  for (const Graph& query : queries) MatchQuery(query, data, options);
-  {
-    Timer wall;
-    for (const Graph& query : queries) {
-      const MatchResult result = MatchQuery(query, data, options);
-      mono_counts.push_back(result.match_count);
-      mono_aux_sum += result.aux_memory_bytes;
-    }
-    mono_wall_ms = wall.ElapsedMillis();
-  }
-  const double mono_qps =
-      mono_wall_ms > 0.0
-          ? 1000.0 * static_cast<double>(queries.size()) / mono_wall_ms
-          : 0.0;
-
-  PrintHeaderRow({"config", "wall-ms", "rel-qps", "max-aux/mono", "cut",
-                  "region", "exact", "build-ms", "enum-ms"});
-  PrintRow({"mono", FormatDouble(mono_wall_ms), "1.00", "1.00", "-", "-",
-            "yes"});
-
-  obs::Json series = obs::Json::Array();
-  for (const uint32_t shards : {2u, 4u, 8u}) {
-    Timer partition_timer;
-    const shard::ShardedGraph sharded(data, shards,
-                                      shard::Partitioner::kGreedy);
-    const double partition_ms = partition_timer.ElapsedMillis();
-
-    bool exact = true;
-    uint64_t max_aux_sum = 0;  // sum over queries of the per-shard aux peak
-    uint64_t boundary_aux_sum = 0;
-    uint32_t region_vertices = 0;
-    double build_ms_sum = 0.0, enumerate_ms_sum = 0.0;
-    for (const Graph& query : queries) {
-      ShardedMatchQuery(query, sharded, options);  // untimed warmup
-    }
-    Timer wall;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const ShardedMatchResult result =
-          ShardedMatchQuery(queries[i], sharded, options);
-      if (result.result.match_count != mono_counts[i]) exact = false;
-      uint64_t max_aux = 0;
-      for (const ShardPassStats& pass : result.sharding.passes) {
-        build_ms_sum += pass.build_ms;
-        enumerate_ms_sum += pass.enumerate_ms;
-        if (pass.boundary) {
-          boundary_aux_sum += pass.aux_memory_bytes;
-        } else {
-          max_aux = std::max<uint64_t>(max_aux, pass.aux_memory_bytes);
-        }
-      }
-      max_aux_sum += max_aux;
-      region_vertices =
-          std::max(region_vertices, result.sharding.region_vertices);
-    }
-    const double wall_ms = wall.ElapsedMillis();
-    const double rel_qps = wall_ms > 0.0 ? mono_wall_ms / wall_ms : 0.0;
-    const double aux_ratio =
-        mono_aux_sum > 0 ? static_cast<double>(max_aux_sum) /
-                               static_cast<double>(mono_aux_sum)
-                         : 0.0;
-    PrintRow({"K=" + FormatCount(shards), FormatDouble(wall_ms),
-              FormatDouble(rel_qps), FormatDouble(aux_ratio),
-              FormatCount(sharded.partition().cut_edges),
-              FormatCount(region_vertices), exact ? "yes" : "NO",
-              FormatDouble(build_ms_sum), FormatDouble(enumerate_ms_sum)});
-
-    obs::Json entry = obs::Json::Object();
-    entry.Set("shards", obs::Json::Number(uint64_t{shards}));
-    entry.Set("partitioner", obs::Json::String("greedy"));
-    entry.Set("partition_ms", obs::Json::Number(partition_ms));
-    entry.Set("cut_edges",
-              obs::Json::Number(sharded.partition().cut_edges));
-    entry.Set("region_vertices", obs::Json::Number(uint64_t{region_vertices}));
-    entry.Set("wall_ms", obs::Json::Number(wall_ms));
-    entry.Set("throughput_qps",
-              obs::Json::Number(
-                  wall_ms > 0.0 ? 1000.0 * static_cast<double>(queries.size()) /
-                                      wall_ms
-                                : 0.0));
-    entry.Set("relative_throughput", obs::Json::Number(rel_qps));
-    entry.Set("max_shard_aux_bytes", obs::Json::Number(max_aux_sum));
-    entry.Set("boundary_aux_bytes", obs::Json::Number(boundary_aux_sum));
-    entry.Set("aux_ratio_vs_mono", obs::Json::Number(aux_ratio));
-    entry.Set("counts_identical", obs::Json::Bool(exact));
-    series.Append(std::move(entry));
-  }
-
-  obs::Json root = obs::Json::Object();
-  root.Set("bench", obs::Json::String("fig18_sharding"));
-  root.Set("seed", obs::Json::Number(config.seed));
-  obs::Json graph_json = obs::Json::Object();
-  graph_json.Set("vertices", obs::Json::Number(uint64_t{data.vertex_count()}));
-  graph_json.Set("edges", obs::Json::Number(uint64_t{data.edge_count()}));
-  graph_json.Set("labels", obs::Json::Number(uint64_t{kLabels}));
-  graph_json.Set("communities", obs::Json::Number(uint64_t{kCommunities}));
-  graph_json.Set("cross_edges", obs::Json::Number(uint64_t{cross_edges}));
-  root.Set("graph", std::move(graph_json));
-  root.Set("queries", obs::Json::Number(uint64_t{queries.size()}));
-  obs::Json mono_json = obs::Json::Object();
-  mono_json.Set("wall_ms", obs::Json::Number(mono_wall_ms));
-  mono_json.Set("throughput_qps", obs::Json::Number(mono_qps));
-  mono_json.Set("aux_bytes", obs::Json::Number(mono_aux_sum));
-  root.Set("mono", std::move(mono_json));
-  root.Set("sharded", std::move(series));
-
-  std::FILE* json = std::fopen("BENCH_sharding.json", "w");
-  if (json == nullptr) {
-    std::printf("could not open BENCH_sharding.json for writing\n");
-    return;
-  }
-  const std::string text = root.Dump(2);
-  std::fwrite(text.data(), 1, text.size(), json);
-  std::fputc('\n', json);
-  std::fclose(json);
-  std::printf("wrote BENCH_sharding.json\n");
 }
 
 void Run() {
@@ -296,8 +67,6 @@ void Run() {
     const Graph data = RelabelUniform(base, labels, &relabel_prng);
     Report(data, config, FormatCount(labels));
   }
-
-  RunShardedSection(config);
 }
 
 }  // namespace

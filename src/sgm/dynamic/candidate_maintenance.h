@@ -1,5 +1,5 @@
 // Incremental candidate-set maintenance for continuous queries
-// (DESIGN.md §14).
+// (DESIGN.md §13).
 //
 // DynamicCandidates keeps, per query vertex, a bitset over data vertices
 // passing the LDF+NLF predicate (alive, label equal, degree and

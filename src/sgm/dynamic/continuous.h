@@ -1,4 +1,4 @@
-// Continuous subgraph matching over a DynamicGraph (DESIGN.md §14).
+// Continuous subgraph matching over a DynamicGraph (DESIGN.md §13).
 //
 // Register a pattern once; every applied batch then produces a MatchDelta
 // per registered query — the exact additions and retractions to its match

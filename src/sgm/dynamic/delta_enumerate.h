@@ -1,4 +1,4 @@
-// Anchored delta enumeration (DESIGN.md §14).
+// Anchored delta enumeration (DESIGN.md §13).
 //
 // For one data edge (a, b), EnumerateEdgeAnchored reports exactly the
 // embeddings of the query that map some query edge onto {a, b}. Because

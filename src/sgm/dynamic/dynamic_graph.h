@@ -1,4 +1,4 @@
-// Versioned update layer over the immutable CSR Graph (DESIGN.md §14).
+// Versioned update layer over the immutable CSR Graph (DESIGN.md §13).
 //
 // A DynamicGraph wraps one base Graph plus a delta-adjacency overlay:
 // per-vertex sorted lists of added and removed neighbors, appended vertex

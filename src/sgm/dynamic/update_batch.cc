@@ -6,34 +6,14 @@
 #include <unordered_set>
 #include <utility>
 
+#include "sgm/util/parse.h"
+
 namespace sgm::dynamic {
 
 namespace {
 
 void SetError(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
-}
-
-/// Strict unsigned parser (mirrors graph_io's hardening): digits only, no
-/// signs, no overflow wrap-around.
-bool ParseUint(const std::string& token, uint64_t* out) {
-  if (token.empty() || token.size() > 20) return false;
-  uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-    const uint64_t next = value * 10 + static_cast<uint64_t>(c - '0');
-    if (next < value) return false;  // overflow
-    value = next;
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseVertex(const std::string& token, Vertex* out) {
-  uint64_t value = 0;
-  if (!ParseUint(token, &value) || value > 0xffffffffULL) return false;
-  *out = static_cast<Vertex>(value);
-  return true;
 }
 
 uint64_t EdgeKey(Vertex u, Vertex v) {
@@ -143,20 +123,17 @@ std::optional<UpdateStream> ReadUpdateStream(std::istream& in,
     UpdateOp op;
     if (record == "ae" || record == "re") {
       if (!(fields >> a >> b) || (fields >> extra) ||
-          !ParseVertex(a, &op.u) || !ParseVertex(b, &op.v)) {
+          !ParseUint(a, &op.u) || !ParseUint(b, &op.v)) {
         return fail("malformed '" + record + "' record");
       }
       op.kind = record == "ae" ? UpdateKind::kAddEdge : UpdateKind::kRemoveEdge;
     } else if (record == "av") {
-      uint64_t label = 0;
-      if (!(fields >> a) || (fields >> extra) || !ParseUint(a, &label) ||
-          label > 0xffffffffULL) {
+      if (!(fields >> a) || (fields >> extra) || !ParseUint(a, &op.label)) {
         return fail("malformed 'av' record");
       }
       op.kind = UpdateKind::kAddVertex;
-      op.label = static_cast<Label>(label);
     } else if (record == "rv") {
-      if (!(fields >> a) || (fields >> extra) || !ParseVertex(a, &op.u)) {
+      if (!(fields >> a) || (fields >> extra) || !ParseUint(a, &op.u)) {
         return fail("malformed 'rv' record");
       }
       op.kind = UpdateKind::kRemoveVertex;

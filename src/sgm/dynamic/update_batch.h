@@ -1,5 +1,5 @@
 // Update batches and replayable update streams for the dynamic-graph
-// subsystem (DESIGN.md §14).
+// subsystem (DESIGN.md §13).
 //
 // An UpdateBatch is an ordered list of primitive graph mutations — edge
 // inserts/deletes and vertex inserts/deletes — applied atomically to a

@@ -1,11 +1,11 @@
 #include "sgm/explain.h"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <sstream>
 
-#include "sgm/core/order/dpiso_order.h"
-#include "sgm/obs/collector.h"
-#include "sgm/obs/phase_timer.h"
+#include "sgm/plan.h"
 
 namespace sgm {
 
@@ -18,52 +18,43 @@ QueryPlan ExplainQuery(const Graph& query, const Graph& data,
   plan.use_failing_sets = options.use_failing_sets;
   plan.adaptive_order = options.adaptive_order;
 
-  obs::PhaseTimer phase_timer(
-      options.collector != nullptr ? options.collector->trace() : nullptr);
-  phase_timer.Begin(obs::kPhaseFilter);
-  FilterResult filtered =
-      RunFilter(options.filter, query, data, options.filter_options);
-  plan.filter_ms = phase_timer.End();
-  plan.candidate_memory_bytes = filtered.candidates.MemoryBytes();
+  // The explanation always builds the all-edges structure: it is what the
+  // tree-embedding estimate needs, and a superset of every scope.
+  MatchOptions build_options = options;
+  build_options.aux_scope = AuxEdgeScope::kAllEdges;
+  const std::unique_ptr<MatchPlan> built =
+      BuildMatchPlan(query, data, build_options);
+  plan.filter_ms = built->filter_ms;
+  plan.aux_build_ms = built->aux_build_ms;
+  plan.order_ms = built->order_ms;
+  plan.candidate_memory_bytes = built->candidate_memory_bytes;
+  plan.aux_memory_bytes = built->aux_memory_bytes;
   plan.candidate_counts.resize(query.vertex_count());
   for (Vertex u = 0; u < query.vertex_count(); ++u) {
-    plan.candidate_counts[u] = filtered.candidates.Count(u);
+    plan.candidate_counts[u] = built->candidates.Count(u);
     plan.log10_cartesian_bound +=
         std::log10(std::max<uint32_t>(1, plan.candidate_counts[u]));
   }
-  if (filtered.candidates.AnyEmpty()) {
+  if (built->empty_candidates) {
     plan.no_match_possible = true;
     return plan;
   }
-
-  // The explanation always builds the all-edges structure: it is what the
-  // tree-embedding estimate needs, and a superset of every scope.
-  phase_timer.Begin(obs::kPhaseAuxBuild);
-  const AuxStructure aux =
-      AuxStructure::BuildAllEdges(query, data, filtered.candidates);
-  plan.aux_memory_bytes = aux.MemoryBytes();
-
-  plan.aux_build_ms = phase_timer.Begin(obs::kPhaseOrder);
-  OrderInputs order_inputs;
-  order_inputs.candidates = &filtered.candidates;
-  order_inputs.tree =
-      filtered.bfs_tree.has_value() ? &*filtered.bfs_tree : nullptr;
-  order_inputs.aux = &aux;
-  plan.matching_order = ComputeOrder(options.order, query, data, order_inputs);
-  if (options.postpone_degree_one) {
-    plan.matching_order =
-        PostponeDegreeOneVertices(query, plan.matching_order);
-  }
-  plan.order_ms = phase_timer.End();
+  plan.matching_order = built->matching_order;
 
   // Tree-embedding estimate: DP-iso's weight array over the chosen order;
   // summing the root weights over its candidates estimates the number of
-  // embeddings of the order's tree-like skeleton.
-  const DpisoWeights weights = DpisoWeights::Build(
-      query, filtered.candidates, aux, plan.matching_order);
+  // embeddings of the order's tree-like skeleton. Adaptive plans carry the
+  // array already.
+  DpisoWeights own_weights;
+  if (!options.adaptive_order) {
+    own_weights = DpisoWeights::Build(query, built->candidates, built->aux,
+                                      built->matching_order);
+  }
+  const DpisoWeights& weights =
+      options.adaptive_order ? built->weights : own_weights;
   const Vertex root = plan.matching_order.front();
   double total = 0.0;
-  for (uint32_t ci = 0; ci < filtered.candidates.Count(root); ++ci) {
+  for (uint32_t ci = 0; ci < built->candidates.Count(root); ++ci) {
     total += weights.WeightByIndex(root, ci);
   }
   plan.estimated_tree_embeddings = total;

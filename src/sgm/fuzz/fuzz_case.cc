@@ -24,10 +24,6 @@ std::string ConfigSpec::Name() const {
   if (!lc_cache) name += "/nocache";
   name += "/t" + std::to_string(threads);
   if (service) name += "/svc";
-  if (shards > 1) {
-    name += "/sh" + std::to_string(shards) + "-" +
-            shard::PartitionerName(partitioner);
-  }
   if (inject_fault) name += "/FAULT";
   return name;
 }
@@ -48,10 +44,6 @@ MatchOptions ConfigSpec::ToMatchOptions(uint32_t query_vertex_count,
   options.max_matches = max_matches;
   options.time_limit_ms = time_limit_ms;
   options.debug_skip_last_root_candidate = inject_fault;
-  if (shards > 1) {
-    options.shards = shards;
-    options.shard_partitioner = partitioner;
-  }
   return options;
 }
 
@@ -190,29 +182,6 @@ FuzzCase GenerateCase(uint64_t seed, const CaseGenOptions& options) {
     if (config.threads == 1) {
       config.service = true;
       break;
-    }
-  }
-
-  // Promote one remaining plain serial config to sharded execution, so
-  // cases also cross-check the partition / boundary-merge path
-  // (shard/shard_exec.cc) against the monolithic engines. K is drawn from
-  // {1, 2, 4}; 1 leaves the case entirely monolithic.
-  static constexpr uint32_t kShardChoices[] = {1, 2, 4};
-  const uint32_t shard_count =
-      kShardChoices[prng.NextBounded(std::size(kShardChoices))];
-  if (shard_count > 1) {
-    const shard::Partitioner partitioner = prng.NextBernoulli(0.5)
-                                               ? shard::Partitioner::kGreedy
-                                               : shard::Partitioner::kHash;
-    const size_t shard_start = prng.NextBounded(fuzz_case.configs.size());
-    for (size_t i = 0; i < fuzz_case.configs.size(); ++i) {
-      ConfigSpec& config =
-          fuzz_case.configs[(shard_start + i) % fuzz_case.configs.size()];
-      if (config.threads == 1 && !config.service) {
-        config.shards = shard_count;
-        config.partitioner = partitioner;
-        break;
-      }
     }
   }
 

@@ -42,18 +42,12 @@ struct ConfigSpec {
   /// hit — the differential check covers the cached-plan path. Serial
   /// engine only (threads is ignored when set).
   bool service = false;
-  /// >1 = sharded execution (shard/shard_exec.cc): partition the data
-  /// graph, run the shard-local passes plus the boundary merge pass, and
-  /// cross-check the merged result. Serial engine only.
-  uint32_t shards = 1;
-  /// Vertex partitioner when `shards` > 1.
-  shard::Partitioner partitioner = shard::Partitioner::kGreedy;
   /// Enables MatchOptions::debug_skip_last_root_candidate — the emulated
   /// off-by-one used to exercise the oracle and minimizer end to end.
   bool inject_fault = false;
 
   /// Short identifier, e.g. "GQL/fs/hybrid/t1" (suffix "/svc" when routed
-  /// through a MatchService, "/sh<K>-<partitioner>" when sharded).
+  /// through a MatchService).
   std::string Name() const;
 
   /// Materializes the MatchOptions for this configuration. The caller's

@@ -1,11 +1,11 @@
 #include "sgm/fuzz/reproducer.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "sgm/graph/graph_io.h"
+#include "sgm/util/parse.h"
 
 namespace sgm::fuzz {
 
@@ -45,23 +45,13 @@ bool ParseIntersection(const std::string& name, IntersectionMethod* out) {
   return IntersectionMethodFromName(name, out);
 }
 
-bool ParseUint64Token(const std::string& token, uint64_t* out) {
-  if (token.empty() || token.size() > 20) return false;
-  uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-    const uint64_t next = value * 10 + static_cast<uint64_t>(c - '0');
-    if (next < value) return false;  // overflow
-    value = next;
-  }
-  *out = value;
-  return true;
-}
-
 // `config <preset> fs=0 ix=hybrid cache=1 threads=1 fault=0 svc=0`
 // (`cache=` and `svc=` are optional for corpus back-compat: files written
 // before the LC reuse cache / the serving layer existed default to the
-// cache being on and the direct engine — their default values).
+// cache being on and the direct engine — their default values). Files from
+// the sharded-execution era also carry `sh=<K> part=<name>`; `sh=0`/`sh=1`
+// and any `part=` name described a monolithic run and are ignored, while a
+// real shard count (`sh>1`) names an engine that no longer exists.
 bool ParseConfigLine(const std::vector<std::string>& fields,
                      ConfigSpec* config) {
   if (fields.size() < 2 || !ParsePresetToken(fields[1], config)) return false;
@@ -80,12 +70,9 @@ bool ParseConfigLine(const std::vector<std::string>& fields,
       if (value != "0" && value != "1") return false;
       config->lc_cache = value == "1";
     } else if (key == "threads") {
-      uint64_t threads = 0;
-      if (!ParseUint64Token(value, &threads) || threads == 0 ||
-          threads > 256) {
+      if (!ParseUint(value, &config->threads, 256) || config->threads == 0) {
         return false;
       }
-      config->threads = static_cast<uint32_t>(threads);
     } else if (key == "fault") {
       if (value != "0" && value != "1") return false;
       config->inject_fault = value == "1";
@@ -93,16 +80,9 @@ bool ParseConfigLine(const std::vector<std::string>& fields,
       if (value != "0" && value != "1") return false;
       config->service = value == "1";
     } else if (key == "sh") {
-      uint64_t shards = 0;
-      if (!ParseUint64Token(value, &shards) || shards == 0 || shards > 64) {
-        return false;
-      }
-      config->shards = static_cast<uint32_t>(shards);
+      if (value != "0" && value != "1") return false;
     } else if (key == "part") {
-      const std::optional<shard::Partitioner> partitioner =
-          shard::ParsePartitioner(value);
-      if (!partitioner.has_value()) return false;
-      config->partitioner = *partitioner;
+      // Any name: the partitioner only applied to sh>1.
     } else {
       return false;
     }
@@ -134,9 +114,7 @@ void WriteReproducer(const Reproducer& reproducer, std::ostream& out) {
         << " cache=" << (config.lc_cache ? 1 : 0)
         << " threads=" << config.threads
         << " fault=" << (config.inject_fault ? 1 : 0)
-        << " svc=" << (config.service ? 1 : 0)
-        << " sh=" << config.shards
-        << " part=" << shard::PartitionerName(config.partitioner) << '\n';
+        << " svc=" << (config.service ? 1 : 0) << '\n';
   }
   out << "graph data\n";
   WriteGraph(fuzz_case.data, out);
@@ -242,7 +220,7 @@ std::optional<Reproducer> ReadReproducer(std::istream& in,
     }
     if (fields[0] == "seed") {
       if (fields.size() != 2 ||
-          !ParseUint64Token(fields[1], &fuzz_case.seed)) {
+          !ParseUint(fields[1], &fuzz_case.seed)) {
         return fail("malformed seed");
       }
     } else if (fields[0] == "verdict") {
@@ -252,14 +230,13 @@ std::optional<Reproducer> ReadReproducer(std::istream& in,
       }
     } else if (fields[0] == "max_matches") {
       if (fields.size() != 2 ||
-          !ParseUint64Token(fields[1], &fuzz_case.max_matches)) {
+          !ParseUint(fields[1], &fuzz_case.max_matches)) {
         return fail("malformed max_matches");
       }
     } else if (fields[0] == "time_limit_ms") {
       if (fields.size() != 2) return fail("malformed time_limit_ms");
-      char* end = nullptr;
-      fuzz_case.time_limit_ms = std::strtod(fields[1].c_str(), &end);
-      if (end == nullptr || *end != '\0' || fuzz_case.time_limit_ms < 0.0) {
+      if (!ParseDouble(fields[1], &fuzz_case.time_limit_ms) ||
+          fuzz_case.time_limit_ms < 0.0) {
         return fail("malformed time_limit_ms");
       }
     } else if (fields[0] == "config") {

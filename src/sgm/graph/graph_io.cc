@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sgm/graph/graph_builder.h"
+#include "sgm/util/parse.h"
 
 namespace sgm {
 
@@ -13,22 +14,6 @@ namespace {
 
 void SetError(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
-}
-
-// Strict non-negative decimal parse into *out, bounded by max. Rejects
-// signs, non-digit characters and overflow — `operator>>` into an unsigned
-// silently wraps "-1" to 4294967295, which is exactly how a hostile header
-// turns into a 16 GB allocation.
-bool ParseUint32(const std::string& token, uint32_t max, uint32_t* out) {
-  if (token.empty() || token.size() > 10) return false;
-  uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  if (value > max) return false;
-  *out = static_cast<uint32_t>(value);
-  return true;
 }
 
 std::vector<std::string> SplitFields(const std::string& line) {
@@ -70,8 +55,8 @@ std::optional<Graph> ReadGraph(std::istream& in, std::string* error,
     if (tag == "t") {
       if (saw_header) return fail("duplicate header");
       if (fields.size() != 3 ||
-          !ParseUint32(fields[1], limits.max_vertices, &declared_vertices) ||
-          !ParseUint32(fields[2], limits.max_edges, &declared_edges)) {
+          !ParseUint(fields[1], &declared_vertices, limits.max_vertices) ||
+          !ParseUint(fields[2], &declared_edges, limits.max_edges)) {
         return fail("malformed header");
       }
       saw_header = true;
@@ -83,12 +68,12 @@ std::optional<Graph> ReadGraph(std::istream& in, std::string* error,
       Label label = 0;
       uint32_t degree = kInvalidVertex;
       if (!saw_header || fields.size() < 3 || fields.size() > 4 ||
-          !ParseUint32(fields[1], limits.max_vertices, &id) ||
-          !ParseUint32(fields[2], limits.max_label, &label)) {
+          !ParseUint(fields[1], &id, limits.max_vertices) ||
+          !ParseUint(fields[2], &label, limits.max_label)) {
         return fail("malformed vertex");
       }
       if (fields.size() == 4 &&
-          !ParseUint32(fields[3], limits.max_edges, &degree)) {
+          !ParseUint(fields[3], &degree, limits.max_edges)) {
         return fail("malformed vertex degree");
       }
       if (id >= declared_vertices || vertex_seen[id]) {
@@ -101,8 +86,8 @@ std::optional<Graph> ReadGraph(std::istream& in, std::string* error,
     } else if (tag == "e") {
       Vertex u = 0, v = 0;
       if (!saw_header || fields.size() != 3 ||
-          !ParseUint32(fields[1], limits.max_vertices, &u) ||
-          !ParseUint32(fields[2], limits.max_vertices, &v)) {
+          !ParseUint(fields[1], &u, limits.max_vertices) ||
+          !ParseUint(fields[2], &v, limits.max_vertices)) {
         return fail("malformed edge");
       }
       if (u >= declared_vertices || v >= declared_vertices || u == v) {

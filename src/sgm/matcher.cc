@@ -107,14 +107,6 @@ MatchOptions MatchOptions::Recommended(uint32_t query_vertex_count) {
 MatchResult MatchQuery(const Graph& query, const Graph& data,
                        const MatchOptions& options,
                        const MatchCallback& callback) {
-  if (options.shards > 1) {
-    // One-shot sharded run: partition on the fly, then the shard-local and
-    // boundary passes of DESIGN.md §13. Long-lived callers share one
-    // ShardedGraph across queries instead.
-    const shard::ShardedGraph sharded(data, options.shards,
-                                      options.shard_partitioner);
-    return ShardedMatchQuery(query, sharded, options, callback).result;
-  }
   // Build-then-execute: the preprocessing phases live in BuildMatchPlan so
   // the plan cache of service/service.h can retain and replay them; a
   // one-shot call composes the two halves back into the original pipeline.

@@ -22,7 +22,6 @@
 #include "sgm/core/enumerate/enumerator.h"
 #include "sgm/core/filter/filter.h"
 #include "sgm/core/order/order.h"
-#include "sgm/shard/partition.h"
 
 namespace sgm {
 
@@ -101,23 +100,6 @@ struct MatchOptions {
   /// This is how MatchService (service/service.h) cancels in-flight
   /// requests.
   const std::atomic<bool>* cancel_flag = nullptr;
-  /// Number of data-graph shards (DESIGN.md §13). 0 or 1 keeps the
-  /// monolithic path. Values above 1 make MatchQuery partition the data
-  /// graph on the fly and run the shard-local passes plus the boundary
-  /// pass; the delivered matches are exactly those of the monolithic run.
-  /// Long-lived callers (MatchService, benches) amortize the partitioning
-  /// by building one shard::ShardedGraph and calling ShardedMatchQuery
-  /// (plan.h) instead.
-  uint32_t shards = 0;
-  /// Vertex partitioner used when `shards` > 1.
-  shard::Partitioner shard_partitioner = shard::Partitioner::kGreedy;
-  /// Internal hook of the sharded executor: when nonzero, candidate sets
-  /// are truncated to data vertices with id < this bound right after the
-  /// filtering phase, before the auxiliary structure is built. Shard graphs
-  /// lay out owned vertices below this threshold, so one comparison
-  /// restricts a pass to shard-owned embeddings — and shrinks its aux
-  /// structure to the owned slice. Leave 0 everywhere else.
-  uint32_t restrict_candidates_below = 0;
   /// Testing hook: silently drop the last root candidate before
   /// enumeration — an emulated off-by-one loop bound in the enumerator.
   /// Exists so the differential fuzzer's detection and minimization paths

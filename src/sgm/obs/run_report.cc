@@ -133,37 +133,6 @@ RunReport BuildRunReport(const Graph& query, const Graph& data,
   return report;
 }
 
-RunReport BuildRunReport(const Graph& query, const Graph& data,
-                         const MatchOptions& options,
-                         const ShardedMatchResult& result) {
-  RunReport report = BuildCommon(query, data, options, result.result);
-  report.engine = "sharded";
-  const ShardedRunInfo& info = result.sharding;
-  report.shard_count = info.shard_count;
-  report.partitioner =
-      info.shard_count > 0 ? shard::PartitionerName(info.partitioner) : "none";
-  report.cut_edges = info.cut_edges;
-  report.boundary_vertices = info.boundary_vertex_count;
-  report.boundary_radius = info.boundary_radius;
-  report.region_vertices = info.region_vertices;
-  report.shard_passes.reserve(info.passes.size());
-  for (const ShardPassStats& stats : info.passes) {
-    RunReportShardPass pass;
-    pass.shard = stats.shard;
-    pass.boundary = stats.boundary;
-    pass.match_count = stats.match_count;
-    pass.graph_vertices = stats.graph_vertices;
-    pass.owned_vertices = stats.owned_vertices;
-    pass.candidate_memory_bytes = stats.candidate_memory_bytes;
-    pass.aux_memory_bytes = stats.aux_memory_bytes;
-    pass.build_ms = stats.build_ms;
-    pass.enumerate_ms = stats.enumerate_ms;
-    pass.busy_ms = stats.busy_ms;
-    report.shard_passes.push_back(pass);
-  }
-  return report;
-}
-
 Json RunReport::ToJson() const {
   Json root = Json::Object();
   root.Set("schema_version", Json::Number(kSchemaVersion));
@@ -282,32 +251,6 @@ Json RunReport::ToJson() const {
   }
   parallel.Set("workers", std::move(workers_json));
   root.Set("parallel", std::move(parallel));
-
-  Json sharding = Json::Object();
-  sharding.Set("shard_count", Json::Number(uint64_t{shard_count}));
-  sharding.Set("partitioner", Json::String(partitioner));
-  sharding.Set("cut_edges", Json::Number(cut_edges));
-  sharding.Set("boundary_vertices", Json::Number(uint64_t{boundary_vertices}));
-  sharding.Set("boundary_radius", Json::Number(uint64_t{boundary_radius}));
-  sharding.Set("region_vertices", Json::Number(uint64_t{region_vertices}));
-  Json passes_json = Json::Array();
-  for (const RunReportShardPass& pass : shard_passes) {
-    Json entry = Json::Object();
-    entry.Set("shard", Json::Number(uint64_t{pass.shard}));
-    entry.Set("boundary", Json::Bool(pass.boundary));
-    entry.Set("match_count", Json::Number(pass.match_count));
-    entry.Set("graph_vertices", Json::Number(uint64_t{pass.graph_vertices}));
-    entry.Set("owned_vertices", Json::Number(uint64_t{pass.owned_vertices}));
-    entry.Set("candidate_memory_bytes",
-              Json::Number(pass.candidate_memory_bytes));
-    entry.Set("aux_memory_bytes", Json::Number(pass.aux_memory_bytes));
-    entry.Set("build_ms", Json::Number(pass.build_ms));
-    entry.Set("enumerate_ms", Json::Number(pass.enumerate_ms));
-    entry.Set("busy_ms", Json::Number(pass.busy_ms));
-    passes_json.Append(std::move(entry));
-  }
-  sharding.Set("passes", std::move(passes_json));
-  root.Set("sharding", std::move(sharding));
 
   Json service = Json::Object();
   service.Set("served", Json::Bool(served));
@@ -456,39 +399,6 @@ RunReport RunReport::FromJson(const Json& json) {
         worker.matches_found = entry.GetUint64("matches_found");
         worker.busy_ms = entry.GetDouble("busy_ms");
         report.workers.push_back(worker);
-      }
-    }
-  }
-  if (const Json* sharding = json.Get("sharding"); sharding != nullptr) {
-    report.shard_count =
-        static_cast<uint32_t>(sharding->GetUint64("shard_count"));
-    report.partitioner = sharding->GetString("partitioner", "none");
-    report.cut_edges = sharding->GetUint64("cut_edges");
-    report.boundary_vertices =
-        static_cast<uint32_t>(sharding->GetUint64("boundary_vertices"));
-    report.boundary_radius =
-        static_cast<uint32_t>(sharding->GetUint64("boundary_radius"));
-    report.region_vertices =
-        static_cast<uint32_t>(sharding->GetUint64("region_vertices"));
-    if (const Json* passes = sharding->Get("passes");
-        passes != nullptr && passes->is_array()) {
-      for (size_t i = 0; i < passes->size(); ++i) {
-        const Json& entry = passes->at(i);
-        RunReportShardPass pass;
-        pass.shard = static_cast<uint32_t>(entry.GetUint64("shard"));
-        pass.boundary = entry.GetBool("boundary");
-        pass.match_count = entry.GetUint64("match_count");
-        pass.graph_vertices =
-            static_cast<uint32_t>(entry.GetUint64("graph_vertices"));
-        pass.owned_vertices =
-            static_cast<uint32_t>(entry.GetUint64("owned_vertices"));
-        pass.candidate_memory_bytes =
-            entry.GetUint64("candidate_memory_bytes");
-        pass.aux_memory_bytes = entry.GetUint64("aux_memory_bytes");
-        pass.build_ms = entry.GetDouble("build_ms");
-        pass.enumerate_ms = entry.GetDouble("enumerate_ms");
-        pass.busy_ms = entry.GetDouble("busy_ms");
-        report.shard_passes.push_back(pass);
       }
     }
   }

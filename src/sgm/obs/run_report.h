@@ -21,7 +21,6 @@
 #include "sgm/obs/depth_profile.h"
 #include "sgm/obs/json.h"
 #include "sgm/parallel/parallel_matcher.h"
-#include "sgm/plan.h"
 
 namespace sgm::obs {
 
@@ -34,21 +33,6 @@ struct RunReportWorker {
   double busy_ms = 0.0;
 };
 
-/// Per-pass accounting carried by a report of a sharded run (one entry per
-/// shard-local pass plus, when it ran, the boundary pass).
-struct RunReportShardPass {
-  uint32_t shard = 0;
-  bool boundary = false;
-  uint64_t match_count = 0;
-  uint32_t graph_vertices = 0;
-  uint32_t owned_vertices = 0;
-  uint64_t candidate_memory_bytes = 0;
-  uint64_t aux_memory_bytes = 0;
-  double build_ms = 0.0;
-  double enumerate_ms = 0.0;
-  double busy_ms = 0.0;
-};
-
 /// The structured record of one matching run. See file comment.
 struct RunReport {
   /// Bumped on any change to the JSON shape.
@@ -56,9 +40,10 @@ struct RunReport {
   /// v3: added the "build" provenance section and "service.metrics".
   /// v4: added the always-emitted "sharding" section.
   /// v5: added the always-emitted "dynamic" section.
-  static constexpr uint64_t kSchemaVersion = 5;
+  /// v6: removed the "sharding" section (sharded execution was deleted).
+  static constexpr uint64_t kSchemaVersion = 6;
 
-  /// "serial", "parallel" or "sharded".
+  /// "serial" or "parallel".
   std::string engine = "serial";
 
   // ---- Build/run provenance (BuildProvenance fills these), so a
@@ -132,20 +117,6 @@ struct RunReport {
   uint64_t subtasks_published = 0;
   double load_imbalance = 1.0;
   std::vector<RunReportWorker> workers;
-
-  // ---- Sharded execution (degenerate for monolithic runs). ----
-  /// Shards the data graph was split into; 0 for monolithic runs (the
-  /// fields below are meaningful only when > 0).
-  uint32_t shard_count = 0;
-  /// "hash", "greedy", or "none" for monolithic runs.
-  std::string partitioner = "none";
-  uint64_t cut_edges = 0;
-  uint32_t boundary_vertices = 0;
-  /// Radius of the cut region (the query's worst edge eccentricity, at
-  /// most its diameter); 0 when the boundary pass was skipped.
-  uint32_t boundary_radius = 0;
-  uint32_t region_vertices = 0;
-  std::vector<RunReportShardPass> shard_passes;
 
   // ---- Service execution (degenerate for direct runs). ----
   /// True when the run was answered by a MatchService; the fields below are
@@ -223,11 +194,6 @@ RunReport BuildRunReport(const Graph& query, const Graph& data,
 RunReport BuildRunReport(const Graph& query, const Graph& data,
                          const MatchOptions& options,
                          const ParallelMatchResult& result);
-
-/// Builds the report of a ShardedMatchQuery / ExecuteShardPlan run.
-RunReport BuildRunReport(const Graph& query, const Graph& data,
-                         const MatchOptions& options,
-                         const ShardedMatchResult& result);
 
 }  // namespace sgm::obs
 

@@ -22,7 +22,6 @@
 #include "sgm/core/order/dpiso_order.h"
 #include "sgm/graph/graph_utils.h"
 #include "sgm/matcher.h"
-#include "sgm/shard/sharded_graph.h"
 
 namespace sgm {
 
@@ -95,111 +94,6 @@ MatchResult ExecutePlan(const Graph& query, const Graph& data,
                         const MatchPlan& plan, const MatchOptions& run_options,
                         const MatchCallback& callback = {},
                         bool include_build_metrics = true);
-
-// ---------------------------------------------------------------------------
-// Sharded execution (DESIGN.md §13): the data graph is split into K vertex
-// shards (shard/sharded_graph.h); one pass per shard enumerates the
-// embeddings owned entirely by that shard, and one boundary pass over the
-// cut region picks up exactly the embeddings spanning two or more shards.
-// The union equals the monolithic result bit for bit — counts, limit
-// status, and the embedding set — which the differential fuzz oracle
-// checks continuously.
-// ---------------------------------------------------------------------------
-
-/// Statistics of one sharded pass (a shard-local pass or the boundary
-/// pass). `match_count` uses attributed-delivery semantics: the global
-/// match budget is shared, so per-pass counts sum to the merged count.
-struct ShardPassStats {
-  /// Shard index; the boundary pass reports the shard count here.
-  uint32_t shard = 0;
-  bool boundary = false;
-  uint64_t match_count = 0;
-  /// Vertices of the pass's graph (owned + halo, or the cut region).
-  uint32_t graph_vertices = 0;
-  /// Owned vertices of the shard (the region size for the boundary pass).
-  uint32_t owned_vertices = 0;
-  size_t candidate_memory_bytes = 0;
-  size_t aux_memory_bytes = 0;
-  double build_ms = 0.0;
-  double enumerate_ms = 0.0;
-  /// Wall time the pass occupied its worker (build excluded — plans are
-  /// prebuilt in BuildShardPlan).
-  double busy_ms = 0.0;
-};
-
-/// Shape and per-pass breakdown of one sharded run, reported alongside the
-/// merged MatchResult (RunReport's "sharding" section).
-struct ShardedRunInfo {
-  /// 0 means the run was monolithic (no sharding section applies).
-  uint32_t shard_count = 0;
-  shard::Partitioner partitioner = shard::Partitioner::kGreedy;
-  uint64_t cut_edges = 0;
-  uint32_t boundary_vertex_count = 0;
-  /// Radius of the cut region (the query's worst edge eccentricity, at
-  /// most its diameter); 0 when the boundary pass was skipped
-  /// (single-vertex query, K=1, or an empty cut).
-  uint32_t boundary_radius = 0;
-  uint32_t region_vertices = 0;
-  std::vector<ShardPassStats> passes;
-};
-
-/// Merged result of a sharded run: `result` carries exactly the monolithic
-/// semantics (count, limit status, aggregate search counters); `sharding`
-/// breaks it down per pass.
-struct ShardedMatchResult {
-  MatchResult result;
-  ShardedRunInfo sharding;
-};
-
-/// The sharded counterpart of MatchPlan: one restricted plan per shard plus
-/// the boundary plan over the cut region. Build once per (query, options)
-/// against a long-lived ShardedGraph; execute any number of times.
-struct ShardPlan {
-  ShardPlan() = default;
-  ShardPlan(const ShardPlan&) = delete;
-  ShardPlan& operator=(const ShardPlan&) = delete;
-
-  /// The options the plan was built for (same contract as
-  /// MatchPlan::options).
-  MatchOptions options;
-  /// One plan per shard, restricted to owned candidates; null for shards
-  /// that own no vertices.
-  std::vector<std::unique_ptr<MatchPlan>> shard_plans;
-  /// The cut region the boundary plan runs on (shared with the
-  /// ShardedGraph's cache); null when the boundary pass is skipped.
-  std::shared_ptr<const shard::CutRegion> region;
-  std::unique_ptr<MatchPlan> boundary_plan;
-  uint32_t boundary_radius = 0;
-  /// Wall time of the whole (shard-parallel) build.
-  double build_wall_ms = 0.0;
-
-  size_t MemoryBytes() const;
-};
-
-/// Builds the per-shard plans (in parallel across shards) and the boundary
-/// plan. Same query contract as BuildMatchPlan. The collector, if any, is
-/// not threaded through the per-pass builds.
-std::unique_ptr<ShardPlan> BuildShardPlan(const Graph& query,
-                                          const shard::ShardedGraph& sharded,
-                                          const MatchOptions& options);
-
-/// Executes a prebuilt shard plan: all passes run concurrently under one
-/// shared match budget, deadline, and cancellation gate; `callback`
-/// receives global data-vertex ids (serialized across passes, delivered at
-/// most max_matches times). Pass ordering of deliveries is nondeterministic;
-/// the delivered set and all result semantics are not.
-ShardedMatchResult ExecuteShardPlan(const Graph& query,
-                                    const shard::ShardedGraph& sharded,
-                                    const ShardPlan& plan,
-                                    const MatchOptions& run_options,
-                                    const MatchCallback& callback = {},
-                                    bool include_build_metrics = true);
-
-/// BuildShardPlan + ExecuteShardPlan, the sharded analogue of MatchQuery.
-ShardedMatchResult ShardedMatchQuery(const Graph& query,
-                                     const shard::ShardedGraph& sharded,
-                                     const MatchOptions& options,
-                                     const MatchCallback& callback = {});
 
 }  // namespace sgm
 

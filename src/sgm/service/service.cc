@@ -33,12 +33,6 @@ MatchService::MatchService(Graph data, const ServiceOptions& options)
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &obs::MetricsRegistry::Default()),
       epoch_(std::chrono::steady_clock::now()) {
-  if (options.shards > 1) {
-    // Shards reference *snapshot_, which a sharded service never replaces
-    // (ApplyUpdates rejects).
-    sharded_ = std::make_unique<const shard::ShardedGraph>(
-        *snapshot_, options.shards, options.shard_partitioner);
-  }
   uint32_t workers = options_.worker_count;
   if (workers == 0) {
     workers = std::max(1u, std::thread::hardware_concurrency());
@@ -354,30 +348,6 @@ MatchResponse MatchService::Run(const MatchRequest& request, double queue_ms,
         std::min(options.time_limit_ms, deadline_ms - queue_ms);
   }
 
-  MatchCallback sharded_callback;
-  if (sharded_ != nullptr) {
-    // Sharded execution bypasses the plan cache (per-shard plan caching is
-    // future work): build the shard plans, run all passes under the shared
-    // gate, and report the per-pass breakdown on the response.
-    options.shards = 0;  // the executor owns the split; avoid re-dispatch
-    if (request.collect_embeddings) {
-      sharded_callback = [&response](std::span<const Vertex> mapping) {
-        response.embeddings.emplace_back(mapping.begin(), mapping.end());
-        return true;
-      };
-    }
-    ShardedMatchResult sharded = ShardedMatchQuery(
-        request.query, *sharded_, options, sharded_callback);
-    response.engine = std::move(sharded.result);
-    response.sharding = std::move(sharded.sharding);
-    if (cancel_token->load(std::memory_order_relaxed)) {
-      response.status = RequestStatus::kCancelled;
-    } else if (response.engine.enumerate.timed_out) {
-      response.status = RequestStatus::kTimedOut;
-    }
-    return response;
-  }
-
   // Plan: cache when enabled, build-and-discard otherwise. The cache key is
   // computed from the effective options, whose run-only knobs the encoding
   // ignores.
@@ -433,13 +403,6 @@ MatchService::GraphView MatchService::CurrentView() {
 
 UpdateReport MatchService::ApplyUpdates(const dynamic::UpdateBatch& batch) {
   UpdateReport report;
-  if (sharded_ != nullptr) {
-    report.error =
-        "sharded services do not accept updates (shards are built at "
-        "construction)";
-    return report;
-  }
-
   std::string error;
   std::optional<dynamic::BatchResult> result;
   {
@@ -489,12 +452,6 @@ UpdateReport MatchService::ApplyUpdates(const dynamic::UpdateBatch& batch) {
 
 uint64_t MatchService::RegisterContinuousQuery(Graph query,
                                                std::string* error) {
-  if (sharded_ != nullptr) {
-    if (error != nullptr) {
-      *error = "sharded services do not accept continuous queries";
-    }
-    return 0;
-  }
   std::lock_guard<std::mutex> lock(graph_mutex_);
   const uint64_t id = continuous_.Register(std::move(query), error);
   dynamic_stats_.continuous_queries = continuous_.registration_count();
@@ -578,15 +535,8 @@ obs::RunReport BuildServedRunReport(const Graph& query, const Graph& data,
                                     const MatchResponse& response,
                                     const obs::MetricsRegistry* metrics,
                                     const ServiceDynamicStats* dynamic_stats) {
-  obs::RunReport report;
-  if (response.sharding.shard_count > 0) {
-    ShardedMatchResult sharded;
-    sharded.result = response.engine;
-    sharded.sharding = response.sharding;
-    report = obs::BuildRunReport(query, data, request.options, sharded);
-  } else {
-    report = obs::BuildRunReport(query, data, request.options, response.engine);
-  }
+  obs::RunReport report =
+      obs::BuildRunReport(query, data, request.options, response.engine);
   report.served = true;
   report.plan_cache_hit = response.plan_cache_hit;
   report.queue_ms = response.queue_ms;

@@ -21,7 +21,7 @@
 // service, ParallelMatchQuery (which fans one query out over a TaskPool)
 // remains the right tool; the service optimizes aggregate throughput.
 //
-// The data graph is mutable through ApplyUpdates (DESIGN.md §14): each
+// The data graph is mutable through ApplyUpdates (DESIGN.md §13): each
 // batch lands atomically on a dynamic::DynamicGraph, bumps the graph
 // epoch (folded into every plan-cache key, so stale plans are
 // unreachable) and yields exact match deltas for registered continuous
@@ -110,9 +110,6 @@ struct MatchResponse {
   /// kCancelled (matches found before the stop are counted), default-
   /// constructed on kRejected.
   MatchResult engine;
-  /// Per-pass breakdown when the service runs sharded
-  /// (ServiceOptions::shards > 1); shard_count == 0 on monolithic services.
-  ShardedRunInfo sharding;
   /// True when the plan came out of the cache.
   bool plan_cache_hit = false;
   /// Time spent in the admission queue before a worker picked the request
@@ -129,13 +126,6 @@ struct MatchResponse {
 struct ServiceOptions {
   /// Worker threads executing requests. 0 = hardware concurrency.
   uint32_t worker_count = 0;
-  /// Split the data graph into this many shards at construction and answer
-  /// every request through the sharded executor (plan.h). 0 or 1 =
-  /// monolithic. Sharded requests bypass the plan cache — per-shard plan
-  /// caching is future work — so expect build cost on every request.
-  uint32_t shards = 0;
-  /// Partitioner for the sharded path (ignored when shards <= 1).
-  shard::Partitioner shard_partitioner = shard::Partitioner::kGreedy;
   /// Plan cache memory budget; 0 disables the cache (every request builds
   /// its plan from scratch — the baseline sgm_serve --no-cache measures).
   size_t plan_cache_budget_bytes = 256ull << 20;
@@ -157,8 +147,8 @@ struct ServiceOptions {
 
 /// Result of one MatchService::ApplyUpdates call.
 struct UpdateReport {
-  /// False when the batch failed validation (graph untouched) or the
-  /// service does not accept updates (sharded); `error` says which.
+  /// False when the batch failed validation (graph untouched); `error`
+  /// says why.
   bool applied = false;
   std::string error;
   /// Graph epoch after the batch.
@@ -222,10 +212,6 @@ class MatchService {
     return *snapshot_;
   }
   uint32_t worker_count() const { return static_cast<uint32_t>(workers_.size()); }
-  /// Shards the service executes against; 0 when monolithic.
-  uint32_t shard_count() const {
-    return sharded_ != nullptr ? sharded_->shard_count() : 0;
-  }
 
   /// Enqueues a request. The future resolves when the request reaches a
   /// terminal status — including kRejected (admission) and kTimedOut
@@ -240,8 +226,7 @@ class MatchService {
   /// a stale plan) and producing the exact match delta of every registered
   /// continuous query. Requests already executing keep their pinned
   /// pre-update snapshot; requests submitted afterwards see the new graph.
-  /// Sharded services reject updates (their shards are built once at
-  /// construction). Thread-safe; concurrent ApplyUpdates calls serialize.
+  /// Thread-safe; concurrent ApplyUpdates calls serialize.
   UpdateReport ApplyUpdates(const dynamic::UpdateBatch& batch);
 
   /// Registers a continuous query: every subsequent ApplyUpdates reports
@@ -348,10 +333,6 @@ class MatchService {
   uint64_t snapshot_epoch_ = 0;
   mutable std::mutex graph_mutex_;
   ServiceDynamicStats dynamic_stats_;
-  /// Built once at construction when options_.shards > 1; null otherwise.
-  /// Points into *snapshot_, which sharded services never replace
-  /// (ApplyUpdates rejects).
-  std::unique_ptr<const shard::ShardedGraph> sharded_;
   PlanCache plan_cache_;
   obs::MetricsRegistry* metrics_ = nullptr;
   Instruments instruments_;

@@ -1,4 +1,5 @@
-// Drift test between the command-line tools and docs/CLI.md.
+// Drift test between the command-line tools and docs/CLI.md, plus the
+// argument-validation contract the docs state (strict numeric flags).
 //
 // Each tool is executed with --help; the flags it advertises (lines of the
 // form "  --flag ...") are compared against the flag table of the tool's
@@ -9,6 +10,8 @@
 // SGM_TOOLS_DIR (the build's tool binary directory) and SGM_DOCS_DIR (the
 // source tree's docs/ directory) are injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <fstream>
@@ -37,11 +40,13 @@ std::string FlagAt(const std::string& text, size_t pos) {
   return text.substr(pos, end - pos);
 }
 
-// Runs `<tools dir>/<tool> --help` and returns its combined output.
-// Fails the current test if the tool cannot be executed or exits nonzero.
-std::string RunHelp(const std::string& tool) {
+// Runs `<tools dir>/<tool> <args>` and returns its combined stdout and
+// stderr; *exit_code receives the exit status (-1 if it did not exit).
+std::string RunTool(const std::string& tool, const std::string& args,
+                    int* exit_code) {
   const std::string command =
-      std::string(SGM_TOOLS_DIR) + "/" + tool + " --help 2>&1";
+      std::string(SGM_TOOLS_DIR) + "/" + tool + " " + args + " 2>&1";
+  *exit_code = -1;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) {
     ADD_FAILURE() << "popen failed for: " << command;
@@ -54,9 +59,17 @@ std::string RunHelp(const std::string& tool) {
     output.append(buffer, n);
   }
   const int status = pclose(pipe);
-  EXPECT_EQ(status, 0) << tool << " --help exited with status " << status
-                       << "\noutput:\n"
-                       << output;
+  if (status != -1 && WIFEXITED(status)) *exit_code = WEXITSTATUS(status);
+  return output;
+}
+
+// Runs `<tool> --help`; fails the current test unless it exits 0.
+std::string RunHelp(const std::string& tool) {
+  int exit_code = 0;
+  const std::string output = RunTool(tool, "--help", &exit_code);
+  EXPECT_EQ(exit_code, 0) << tool << " --help exited with " << exit_code
+                          << "\noutput:\n"
+                          << output;
   return output;
 }
 
@@ -189,6 +202,46 @@ TEST(CliDocsTest, EveryToolDocumentsExitCodes) {
     }
     EXPECT_NE(it->second.find("Exit codes"), std::string::npos)
         << "no 'Exit codes' table in the " << tool << " section";
+  }
+}
+
+// A malformed numeric value is a usage error naming the flag (exit 2),
+// not a silently wrapped or zeroed number. Parsing happens before any file
+// is opened, so the graph paths need not exist: a well-formed value gets
+// past parsing and fails on loading instead (exit 1).
+TEST(CliArgsTest, MalformedNumericFlagsExitWithUsageError) {
+  struct Case {
+    const char* tool;
+    const char* required;
+    const char* flag;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"sgm_match", "--query missing.graph --data missing.graph",
+       "--max-matches", "-5"},
+      {"sgm_match", "--query missing.graph --data missing.graph", "--threads",
+       "abc"},
+      {"sgm_serve", "--data missing.graph --workload missing.txt",
+       "--max-matches", "-5"},
+      {"sgm_serve", "--data missing.graph --workload missing.txt",
+       "--workers", "abc"},
+      // 2^44 MiB is 2^64 bytes: the byte budget would wrap to 0.
+      {"sgm_serve", "--data missing.graph --workload missing.txt",
+       "--cache-mb", "17592186044416"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.tool) + " " + c.flag + " " + c.value);
+    int exit_code = 0;
+    const std::string output =
+        RunTool(c.tool,
+                std::string(c.required) + " " + c.flag + " " + c.value,
+                &exit_code);
+    EXPECT_EQ(exit_code, 2) << output;
+    EXPECT_NE(output.find(c.flag), std::string::npos) << output;
+
+    RunTool(c.tool, std::string(c.required) + " " + c.flag + " 5",
+            &exit_code);
+    EXPECT_EQ(exit_code, 1) << "a valid value must pass parsing";
   }
 }
 

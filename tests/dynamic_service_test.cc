@@ -1,8 +1,7 @@
 // Tests of the service-level dynamic-graph integration: ApplyUpdates
 // atomicity, plan-cache epoch invalidation (no stale counts after an
 // update), continuous-query deltas through the service, concurrent
-// submission during updates, the sharded rejection path and the schema-v5
-// dynamic section of served run reports.
+// submission during updates and the dynamic section of served run reports.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -134,25 +133,6 @@ TEST(DynamicServiceTest, ContinuousQueryDeltasFlowThroughTheService) {
   EXPECT_EQ(stats.delta_additions, 0u);
   EXPECT_EQ(stats.delta_retractions, 1u);
   EXPECT_EQ(stats.continuous_queries, 0u);
-}
-
-TEST(DynamicServiceTest, ShardedServicesRejectUpdates) {
-  obs::MetricsRegistry metrics;
-  service::ServiceOptions options = LocalOptions(&metrics);
-  options.shards = 2;
-  service::MatchService service(PaperData(), options);
-  ASSERT_EQ(service.shard_count(), 2u);
-
-  dynamic::UpdateBatch batch;
-  batch.ops.push_back(dynamic::UpdateOp::RemoveEdge(0, 4));
-  service::UpdateReport report = service.ApplyUpdates(batch);
-  EXPECT_FALSE(report.applied);
-  EXPECT_NE(report.error.find("sharded"), std::string::npos);
-  EXPECT_EQ(service.graph_epoch(), 0u);
-
-  std::string error;
-  EXPECT_EQ(service.RegisterContinuousQuery(PaperQuery(), &error), 0u);
-  EXPECT_FALSE(error.empty());
 }
 
 TEST(DynamicServiceTest, ConcurrentRequestsDuringUpdatesSeeConsistentGraphs) {

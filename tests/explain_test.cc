@@ -1,7 +1,8 @@
 // Tests of the EXPLAIN facility (sgm/explain.h): plan construction on the
 // paper's Figure 1 example, the human-readable rendering, the
-// no-match-possible early exit, and the preprocessing spans it shares with
-// the matcher through the observability layer.
+// no-match-possible early exit, the preprocessing spans it shares with the
+// matcher through the observability layer, and the agreement of its order
+// with the plan the engine executes.
 #include <algorithm>
 #include <cmath>
 #include <string>
@@ -106,6 +107,27 @@ TEST(ExplainTest, EmitsPreprocessingSpansIntoCollector) {
   EXPECT_EQ(names, (std::vector<std::string>{
                        obs::kPhaseFilter, obs::kPhaseAuxBuild,
                        obs::kPhaseOrder}));
+}
+
+// ExplainQuery builds its plan through BuildMatchPlan, so the order it
+// reports is the one the engine runs — for every preset, including the
+// classic ones whose own aux scope differs from the explanation's.
+TEST(ExplainTest, OrderMatchesTheExecutedPlanForEveryPreset) {
+  const Graph query = PaperQuery();
+  const Graph data = PaperData();
+  for (const Algorithm algorithm : kAllAlgorithms) {
+    for (const bool classic : {true, false}) {
+      SCOPED_TRACE(std::string(classic ? "classic-" : "") +
+                   AlgorithmName(algorithm));
+      const MatchOptions options = classic
+                                       ? MatchOptions::Classic(algorithm)
+                                       : MatchOptions::Optimized(algorithm);
+      const QueryPlan plan = ExplainQuery(query, data, options);
+      ASSERT_FALSE(plan.no_match_possible);
+      EXPECT_EQ(plan.matching_order,
+                MatchQuery(query, data, options).matching_order);
+    }
+  }
 }
 
 TEST(ExplainTest, PostponeDegreeOneMovesLeavesLast) {

@@ -178,44 +178,56 @@ TEST(FuzzReproducerTest, UpdateStreamRoundTrips) {
   EXPECT_EQ(a.dynamic_retractions, b.dynamic_retractions);
 }
 
-TEST(FuzzReproducerTest, ShardKeysRoundTrip) {
-  FuzzCase original = GenerateCase(42);
+// Reproducers written while sharded execution existed (every slow-query
+// log record among them) carry `sh=<K> part=<name>` on each config line.
+// sh=0/sh=1 with any partitioner described a monolithic run, so such files
+// must keep replaying exactly as their key-free equivalent.
+TEST(FuzzReproducerTest, LegacyShardKeysAreIgnored) {
+  const FuzzCase original = GenerateCase(42);
   ASSERT_FALSE(original.configs.empty());
-  // Force a sharded config regardless of what the generator drew, so the
-  // sh=/part= reproducer keys are exercised deterministically.
-  original.configs[0].threads = 1;
-  original.configs[0].service = false;
-  original.configs[0].shards = 4;
-  original.configs[0].partitioner = shard::Partitioner::kHash;
-  Reproducer reproducer{original, VerdictKind::kAgree};
   std::ostringstream out;
-  WriteReproducer(reproducer, out);
-  EXPECT_NE(out.str().find(" sh=4 part=hash"), std::string::npos);
+  WriteReproducer({original, VerdictKind::kAgree}, out);
+  const std::string text = out.str();
+  EXPECT_EQ(text.find(" sh="), std::string::npos);
 
-  std::istringstream in(out.str());
-  std::string error;
-  const auto loaded = ReadReproducer(in, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  ASSERT_FALSE(loaded->fuzz_case.configs.empty());
-  EXPECT_EQ(loaded->fuzz_case.configs[0].shards, 4u);
-  EXPECT_EQ(loaded->fuzz_case.configs[0].partitioner,
-            shard::Partitioner::kHash);
-  EXPECT_EQ(loaded->fuzz_case.configs[0].Name(), original.configs[0].Name());
-
-  // Pre-shard corpus files (no sh=/part= keys) parse with the monolithic
-  // defaults: strip the new keys from the serialized text and re-read.
-  std::string legacy_text = out.str();
-  for (const std::string& key : {std::string(" sh="), std::string(" part=")}) {
-    size_t at;
-    while ((at = legacy_text.find(key)) != std::string::npos) {
-      size_t end = legacy_text.find_first_of(" \n", at + key.size());
-      legacy_text.erase(at, end - at);
+  std::string legacy_text;
+  std::istringstream lines(text);
+  std::string line;
+  bool odd = false;
+  while (std::getline(lines, line)) {
+    if (line.rfind("config ", 0) == 0) {
+      line += odd ? " sh=0 part=hash" : " sh=1 part=greedy";
+      odd = !odd;
     }
+    legacy_text += line + '\n';
   }
   std::istringstream legacy(legacy_text);
-  const auto old_style = ReadReproducer(legacy, &error);
-  ASSERT_TRUE(old_style.has_value()) << error;
-  EXPECT_EQ(old_style->fuzz_case.configs[0].shards, 1u);
+  std::string error;
+  const auto loaded = ReadReproducer(legacy, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  ASSERT_EQ(loaded->fuzz_case.configs.size(), original.configs.size());
+  for (size_t i = 0; i < original.configs.size(); ++i) {
+    EXPECT_EQ(loaded->fuzz_case.configs[i].Name(), original.configs[i].Name());
+  }
+  std::ostringstream rewritten;
+  WriteReproducer(*loaded, rewritten);
+  EXPECT_EQ(rewritten.str(), text);
+  EXPECT_FALSE(RunOracle(loaded->fuzz_case).Failed());
+}
+
+TEST(FuzzReproducerTest, RejectsRealShardCount) {
+  std::ostringstream out;
+  WriteReproducer({GenerateCase(42), VerdictKind::kAgree}, out);
+  std::string text = out.str();
+  const size_t config_start = text.find("\nconfig ");
+  ASSERT_NE(config_start, std::string::npos);
+  const size_t config_end = text.find('\n', config_start + 1);
+  text.insert(config_end, " sh=4 part=greedy");
+
+  std::istringstream in(text);
+  std::string error;
+  EXPECT_FALSE(ReadReproducer(in, &error).has_value());
+  EXPECT_NE(error.find("config"), std::string::npos) << error;
 }
 
 TEST(FuzzReproducerTest, RejectsMalformedInput) {

@@ -464,53 +464,6 @@ TEST(MatchServiceTest, ConcurrentMixedWorkloadAgreesWithDirectMatching) {
   EXPECT_GE(stats.plan_cache.hits, queries.size() * (kRounds - 4));
 }
 
-TEST(MatchServiceTest, ShardedServiceAgreesWithMonolithicAndBypassesCache) {
-  Prng prng(11);
-  const Graph data = GenerateRmat(150, 450, 3, &prng);
-  std::vector<Graph> queries;
-  for (uint32_t i = 0; i < 3; ++i) {
-    auto query = ExtractQuery(data, 4 + (i % 2), QueryDensity::kAny, &prng);
-    ASSERT_TRUE(query.has_value());
-    queries.push_back(std::move(*query));
-  }
-
-  service::ServiceOptions options;
-  options.worker_count = 2;
-  options.shards = 3;
-  service::MatchService service(data, options);
-  EXPECT_EQ(service.shard_count(), 3u);
-
-  for (const Graph& query : queries) {
-    const uint64_t expected =
-        MatchQuery(query, data, MatchOptions{}).match_count;
-    service::MatchRequest request;
-    request.query = query;
-    const service::MatchResponse response = service.Match(std::move(request));
-    ASSERT_EQ(response.status, service::RequestStatus::kOk);
-    EXPECT_EQ(response.engine.match_count, expected);
-    EXPECT_EQ(response.sharding.shard_count, 3u);
-    EXPECT_FALSE(response.sharding.passes.empty());
-    EXPECT_FALSE(response.plan_cache_hit);
-
-    // The served report uses the sharded engine and round-trips the
-    // sharding section through JSON.
-    service::MatchRequest report_request;
-    report_request.query = query;
-    const obs::RunReport report = service::BuildServedRunReport(
-        query, service.data(), report_request, response);
-    EXPECT_EQ(report.engine, "sharded");
-    EXPECT_EQ(report.shard_count, 3u);
-    const obs::RunReport parsed = obs::RunReport::FromJson(report.ToJson());
-    EXPECT_EQ(parsed.engine, "sharded");
-    EXPECT_EQ(parsed.shard_count, 3u);
-    EXPECT_EQ(parsed.shard_passes.size(), report.shard_passes.size());
-  }
-
-  // Sharded requests never touch the plan cache.
-  const service::ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.plan_cache.hits + stats.plan_cache.misses, 0u);
-}
-
 TEST(MatchServiceTest, ServedRunReportCarriesServiceSection) {
   service::ServiceOptions options;
   options.worker_count = 1;

@@ -15,10 +15,6 @@
 //   --max-matches N    stop after N matches (default 100000, 0 = all)
 //   --time-limit-ms N  per-query kill limit (default 300000)
 //   --threads N        parallel enumeration with N workers (framework only)
-//   --shards K         sharded execution: split the data graph into K
-//                      vertex shards, enumerate shard-locally and merge
-//                      with a boundary pass (framework only)
-//   --partitioner P    hash|greedy — shard partitioner (default greedy)
 //   --report FILE      write the structured RunReport JSON (framework only)
 //   --trace FILE       write a Chrome trace-event file — open it in
 //                      ui.perfetto.dev or chrome://tracing (framework only)
@@ -44,8 +40,7 @@
 #include "sgm/obs/collector.h"
 #include "sgm/obs/run_report.h"
 #include "sgm/parallel/parallel_matcher.h"
-#include "sgm/plan.h"
-#include "sgm/shard/sharded_graph.h"
+#include "sgm/util/parse.h"
 #include "sgm/wcoj/generic_join.h"
 
 namespace {
@@ -60,8 +55,6 @@ struct CliArgs {
   uint64_t max_matches = 100000;
   double time_limit_ms = 300000.0;
   uint32_t threads = 1;
-  uint32_t shards = 0;
-  sgm::shard::Partitioner partitioner = sgm::shard::Partitioner::kGreedy;
   std::string report_path;
   std::string trace_path;
   bool depth_profile = false;
@@ -74,8 +67,7 @@ void PrintUsage() {
                "usage: sgm_match --query q.graph --data g.graph"
                " [--algorithm NAME] [--failing-sets] [--intersection M]"
                " [--no-lc-cache] [--max-matches N]"
-               " [--time-limit-ms N] [--threads N] [--shards K]"
-               " [--partitioner P] [--report FILE.json]"
+               " [--time-limit-ms N] [--threads N] [--report FILE.json]"
                " [--trace FILE.json] [--depth-profile] [--print-matches]"
                " [--count-only]\n"
                "run 'sgm_match --help' for details\n");
@@ -107,11 +99,6 @@ void PrintHelp() {
       "  --time-limit-ms N   per-query kill limit (default 300000)\n"
       "  --threads N         parallel enumeration with N workers\n"
       "                      (framework only)\n"
-      "  --shards K          sharded execution: split the data graph into K\n"
-      "                      vertex shards, enumerate shard-locally and\n"
-      "                      merge with a boundary pass (framework only)\n"
-      "  --partitioner P     hash|greedy — shard partitioner (default\n"
-      "                      greedy)\n"
       "  --report FILE       write the structured RunReport JSON\n"
       "                      (framework only)\n"
       "  --trace FILE        write a Chrome trace-event file (framework\n"
@@ -139,6 +126,11 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (inline_value.has_value()) return inline_value;
       if (i + 1 < argc) return std::string(argv[++i]);
       return std::nullopt;
+    };
+    const auto invalid = [&](const std::string& value) {
+      std::fprintf(stderr, "invalid value for %s: '%s'\n", flag.c_str(),
+                   value.c_str());
+      return false;
     };
     if (flag == "--help") {
       PrintHelp();
@@ -172,30 +164,20 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (flag == "--max-matches") {
       const auto value = next();
       if (!value.has_value()) return false;
-      args->max_matches = std::strtoull(value->c_str(), nullptr, 10);
+      if (!sgm::ParseUint(*value, &args->max_matches)) {
+        return invalid(*value);
+      }
     } else if (flag == "--time-limit-ms") {
       const auto value = next();
       if (!value.has_value()) return false;
-      args->time_limit_ms = std::strtod(value->c_str(), nullptr);
+      if (!sgm::ParseDouble(*value, &args->time_limit_ms) ||
+          args->time_limit_ms < 0.0) {
+        return invalid(*value);
+      }
     } else if (flag == "--threads") {
       const auto value = next();
       if (!value.has_value()) return false;
-      args->threads =
-          static_cast<uint32_t>(std::strtoul(value->c_str(), nullptr, 10));
-    } else if (flag == "--shards") {
-      const auto value = next();
-      if (!value.has_value()) return false;
-      args->shards =
-          static_cast<uint32_t>(std::strtoul(value->c_str(), nullptr, 10));
-    } else if (flag == "--partitioner") {
-      const auto value = next();
-      if (!value.has_value()) return false;
-      const auto partitioner = sgm::shard::ParsePartitioner(*value);
-      if (!partitioner.has_value()) {
-        std::fprintf(stderr, "unknown partitioner: %s\n", value->c_str());
-        return false;
-      }
-      args->partitioner = *partitioner;
+      if (!sgm::ParseUint(*value, &args->threads)) return invalid(*value);
     } else if (flag == "--report") {
       const auto value = next();
       if (!value.has_value()) return false;
@@ -361,41 +343,7 @@ int main(int argc, char** argv) {
     if (wants_obs) options.collector = &collector;
 
     sgm::obs::RunReport report;
-    if (args.shards > 1) {
-      if (args.threads > 1) {
-        std::fprintf(stderr, "--shards and --threads are mutually exclusive\n");
-        return 2;
-      }
-      const sgm::shard::ShardedGraph sharded(*data, args.shards,
-                                             args.partitioner);
-      const auto result =
-          sgm::ShardedMatchQuery(*query, sharded, options, printer);
-      matches = result.result.match_count;
-      total_ms = result.result.total_ms;
-      if (result.result.unsolved()) status = "timeout";
-      framework_counters = result.result.enumerate;
-      report = sgm::obs::BuildRunReport(*query, *data, options, result);
-      if (!args.count_only) {
-        const sgm::ShardedRunInfo& info = result.sharding;
-        std::printf(
-            "sharding: shards=%u partitioner=%s cut_edges=%llu"
-            " boundary_vertices=%u boundary_radius=%u region_vertices=%u\n",
-            info.shard_count, sgm::shard::PartitionerName(info.partitioner),
-            static_cast<unsigned long long>(info.cut_edges),
-            info.boundary_vertex_count, info.boundary_radius,
-            info.region_vertices);
-        for (const sgm::ShardPassStats& pass : info.passes) {
-          const std::string label =
-              pass.boundary ? "boundary" : "shard" + std::to_string(pass.shard);
-          std::printf(
-              "sharding: pass=%s matches=%llu vertices=%u owned=%u"
-              " aux_bytes=%zu build_ms=%.3f enumerate_ms=%.3f\n",
-              label.c_str(), static_cast<unsigned long long>(pass.match_count),
-              pass.graph_vertices, pass.owned_vertices, pass.aux_memory_bytes,
-              pass.build_ms, pass.enumerate_ms);
-        }
-      }
-    } else if (args.threads > 1) {
+    if (args.threads > 1) {
       const auto parallel = sgm::ParallelMatchQuery(*query, *data, options,
                                                     args.threads, printer);
       matches = parallel.result.match_count;
@@ -435,12 +383,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "warning: --report/--trace/--depth-profile are only"
                  " supported by the framework algorithms; ignored for %s\n",
-                 args.algorithm.c_str());
-  }
-  if (args.shards > 1 && counters == nullptr) {
-    std::fprintf(stderr,
-                 "warning: --shards is only supported by the framework"
-                 " algorithms; ignored for %s\n",
                  args.algorithm.c_str());
   }
 

@@ -19,7 +19,7 @@
 // reports the throughput speedup.
 //
 // With --updates STREAM the driver switches to continuous-matching replay
-// (DESIGN.md §14): every workload query is registered as a continuous
+// (DESIGN.md §13): every workload query is registered as a continuous
 // query, the update stream's batches are applied one by one, and each
 // batch prints (and records in --out) its exact match delta — embeddings
 // that appeared and embeddings that were retracted — plus the apply /
@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -59,6 +60,7 @@
 #include "sgm/obs/run_report.h"
 #include "sgm/obs/slow_query_log.h"
 #include "sgm/service/service.h"
+#include "sgm/util/parse.h"
 #include "sgm/util/prng.h"
 #include "sgm/util/timer.h"
 
@@ -70,9 +72,7 @@ struct CliArgs {
   uint32_t workers = 4;
   uint32_t concurrency = 8;
   uint32_t repeat = 1;
-  uint32_t shards = 0;
-  sgm::shard::Partitioner partitioner = sgm::shard::Partitioner::kGreedy;
-  size_t cache_mb = 256;
+  uint64_t cache_mb = 256;
   bool compare_cache = false;
   uint64_t max_matches = 100000;
   double deadline_ms = 0.0;
@@ -92,7 +92,6 @@ void PrintUsage() {
   std::fprintf(stderr,
                "usage: sgm_serve --data g.graph --workload FILE"
                " [--workers N] [--concurrency K] [--repeat R]"
-               " [--shards K] [--partitioner P]"
                " [--cache-mb MB] [--no-cache] [--compare-cache]"
                " [--max-matches N] [--deadline-ms N] [--time-limit-ms N]"
                " [--max-queue N] [--out FILE.json] [--report FILE.json]"
@@ -118,11 +117,6 @@ void PrintHelp() {
       "  --workers N         service worker threads (default 4)\n"
       "  --concurrency K     max requests in flight (default 8)\n"
       "  --repeat R          replay each workload entry R times (default 1)\n"
-      "  --shards K          serve against K data-graph shards with a\n"
-      "                      boundary merge pass; sharded requests bypass\n"
-      "                      the plan cache (default 0 = monolithic)\n"
-      "  --partitioner P     hash|greedy — shard partitioner (default\n"
-      "                      greedy)\n"
       "  --cache-mb MB       plan cache memory budget in MiB (default 256)\n"
       "  --no-cache          disable the plan cache (same as --cache-mb 0)\n"
       "  --compare-cache     run cache-on and cache-off passes, verify\n"
@@ -158,8 +152,7 @@ void PrintHelp() {
       "                      workload then runs once against the final\n"
       "                      graph and the incrementally maintained match\n"
       "                      sets are checked against cold re-matching.\n"
-      "                      Incompatible with --shards and\n"
-      "                      --compare-cache\n"
+      "                      Incompatible with --compare-cache\n"
       "  --help              show this message and exit\n"
       "\n"
       "exit codes: 0 ok, 1 load/workload error, 2 usage error,\n"
@@ -181,6 +174,23 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       return std::nullopt;
     };
     std::optional<std::string> value;
+    // Numeric values parse strictly; a malformed one names its flag.
+    const auto parsed = [&](bool ok) {
+      if (!ok) {
+        std::fprintf(stderr, "invalid value for %s: '%s'\n", flag.c_str(),
+                     value.has_value() ? value->c_str() : "");
+      }
+      return ok;
+    };
+    const auto number = [&](auto* out) {
+      value = next();
+      return parsed(value.has_value() && sgm::ParseUint(*value, out));
+    };
+    const auto millis = [&](double* out) {
+      value = next();
+      return parsed(value.has_value() && sgm::ParseDouble(*value, out) &&
+                    *out >= 0.0);
+    };
     if (flag == "--help") {
       PrintHelp();
       std::exit(0);
@@ -188,55 +198,45 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       args->data_path = *value;
     } else if (flag == "--workload" && (value = next())) {
       args->workload_path = *value;
-    } else if (flag == "--workers" && (value = next())) {
-      args->workers =
-          static_cast<uint32_t>(std::strtoul(value->c_str(), nullptr, 10));
-    } else if (flag == "--concurrency" && (value = next())) {
-      args->concurrency =
-          static_cast<uint32_t>(std::strtoul(value->c_str(), nullptr, 10));
-    } else if (flag == "--repeat" && (value = next())) {
-      args->repeat =
-          static_cast<uint32_t>(std::strtoul(value->c_str(), nullptr, 10));
-    } else if (flag == "--shards" && (value = next())) {
-      args->shards =
-          static_cast<uint32_t>(std::strtoul(value->c_str(), nullptr, 10));
-    } else if (flag == "--partitioner" && (value = next())) {
-      const auto partitioner = sgm::shard::ParsePartitioner(*value);
-      if (!partitioner.has_value()) {
-        std::fprintf(stderr, "unknown partitioner: %s\n", value->c_str());
+    } else if (flag == "--workers") {
+      if (!number(&args->workers)) return false;
+    } else if (flag == "--concurrency") {
+      if (!number(&args->concurrency)) return false;
+    } else if (flag == "--repeat") {
+      if (!number(&args->repeat)) return false;
+    } else if (flag == "--cache-mb") {
+      // Shifted into bytes below; a larger value would wrap the budget.
+      value = next();
+      if (!parsed(value.has_value() &&
+                  sgm::ParseUint(*value, &args->cache_mb, UINT64_MAX >> 20))) {
         return false;
       }
-      args->partitioner = *partitioner;
-    } else if (flag == "--cache-mb" && (value = next())) {
-      args->cache_mb = std::strtoull(value->c_str(), nullptr, 10);
     } else if (flag == "--no-cache") {
       args->cache_mb = 0;
     } else if (flag == "--compare-cache") {
       args->compare_cache = true;
-    } else if (flag == "--max-matches" && (value = next())) {
-      args->max_matches = std::strtoull(value->c_str(), nullptr, 10);
-    } else if (flag == "--deadline-ms" && (value = next())) {
-      args->deadline_ms = std::strtod(value->c_str(), nullptr);
-    } else if (flag == "--time-limit-ms" && (value = next())) {
-      args->time_limit_ms = std::strtod(value->c_str(), nullptr);
-    } else if (flag == "--max-queue" && (value = next())) {
-      args->max_queue =
-          static_cast<uint32_t>(std::strtoul(value->c_str(), nullptr, 10));
+    } else if (flag == "--max-matches") {
+      if (!number(&args->max_matches)) return false;
+    } else if (flag == "--deadline-ms") {
+      if (!millis(&args->deadline_ms)) return false;
+    } else if (flag == "--time-limit-ms") {
+      if (!millis(&args->time_limit_ms)) return false;
+    } else if (flag == "--max-queue") {
+      if (!number(&args->max_queue)) return false;
     } else if (flag == "--out" && (value = next())) {
       args->out_path = *value;
     } else if (flag == "--report" && (value = next())) {
       args->report_path = *value;
     } else if (flag == "--metrics-out" && (value = next())) {
       args->metrics_out = *value;
-    } else if (flag == "--metrics-interval-ms" && (value = next())) {
-      args->metrics_interval_ms =
-          static_cast<uint32_t>(std::strtoul(value->c_str(), nullptr, 10));
-    } else if (flag == "--slow-query-ms" && (value = next())) {
-      args->slow_query_ms = std::strtod(value->c_str(), nullptr);
+    } else if (flag == "--metrics-interval-ms") {
+      if (!number(&args->metrics_interval_ms)) return false;
+    } else if (flag == "--slow-query-ms") {
+      if (!millis(&args->slow_query_ms)) return false;
     } else if (flag == "--slow-query-log" && (value = next())) {
       args->slow_query_log_path = *value;
-    } else if (flag == "--seed" && (value = next())) {
-      args->seed = std::strtoull(value->c_str(), nullptr, 10);
+    } else if (flag == "--seed") {
+      if (!number(&args->seed)) return false;
     } else if (flag == "--updates" && (value = next())) {
       args->updates_path = *value;
     } else {
@@ -254,11 +254,8 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     std::fprintf(stderr, "--metrics-interval-ms needs --metrics-out\n");
     return false;
   }
-  if (!args->updates_path.empty() &&
-      (args->shards > 1 || args->compare_cache)) {
-    std::fprintf(stderr,
-                 "--updates is incompatible with --shards and"
-                 " --compare-cache\n");
+  if (!args->updates_path.empty() && args->compare_cache) {
+    std::fprintf(stderr, "--updates is incompatible with --compare-cache\n");
     return false;
   }
   return !args->data_path.empty() && !args->workload_path.empty();
@@ -285,7 +282,10 @@ std::optional<sgm::Graph> QueryFromGenSpec(const std::string& line,
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
     if (key == "size") {
-      size = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!sgm::ParseUint(value, &size)) {
+        *error = "bad gen size '" + value + "'";
+        return std::nullopt;
+      }
     } else if (key == "density") {
       if (value == "any") {
         density = sgm::QueryDensity::kAny;
@@ -298,7 +298,10 @@ std::optional<sgm::Graph> QueryFromGenSpec(const std::string& line,
         return std::nullopt;
       }
     } else if (key == "seed") {
-      seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!sgm::ParseUint(value, &seed)) {
+        *error = "bad gen seed '" + value + "'";
+        return std::nullopt;
+      }
     } else {
       *error = "unknown gen spec key '" + key + "'";
       return std::nullopt;
@@ -395,8 +398,6 @@ PassResult RunPass(const CliArgs& args, const sgm::Graph& data,
                    sgm::obs::SlowQueryLog* slow_query_log) {
   sgm::service::ServiceOptions service_options;
   service_options.worker_count = args.workers;
-  service_options.shards = args.shards;
-  service_options.shard_partitioner = args.partitioner;
   service_options.plan_cache_budget_bytes =
       cache_enabled ? args.cache_mb << 20 : 0;
   service_options.max_queue_depth = args.max_queue;
@@ -789,10 +790,6 @@ int main(int argc, char** argv) {
       "serving %zu quer%s x %u repeat%s on %u workers, concurrency %u\n",
       queries->size(), queries->size() == 1 ? "y" : "ies", args.repeat,
       args.repeat == 1 ? "" : "s", args.workers, args.concurrency);
-  if (args.shards > 1) {
-    std::printf("sharded execution: %u shards, %s partitioner\n", args.shards,
-                sgm::shard::PartitionerName(args.partitioner));
-  }
 
   std::unique_ptr<sgm::obs::SlowQueryLog> slow_query_log;
   if (!args.slow_query_log_path.empty()) {
@@ -841,11 +838,6 @@ int main(int argc, char** argv) {
   workload.Set("workers", sgm::obs::Json::Number(uint64_t{args.workers}));
   workload.Set("concurrency",
                sgm::obs::Json::Number(uint64_t{args.concurrency}));
-  workload.Set("shards", sgm::obs::Json::Number(uint64_t{args.shards}));
-  workload.Set("partitioner",
-               sgm::obs::Json::String(
-                   args.shards > 1 ? sgm::shard::PartitionerName(args.partitioner)
-                                   : "none"));
   root.Set("workload", std::move(workload));
   sgm::obs::Json passes_json = sgm::obs::Json::Array();
   for (const PassResult& pass : passes) passes_json.Append(PassToJson(pass));
