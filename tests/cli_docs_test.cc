@@ -207,41 +207,59 @@ TEST(CliDocsTest, EveryToolDocumentsExitCodes) {
 
 // A malformed numeric value is a usage error naming the flag (exit 2),
 // not a silently wrapped or zeroed number. Parsing happens before any file
-// is opened, so the graph paths need not exist: a well-formed value gets
-// past parsing and fails on loading instead (exit 1).
+// is opened, so a well-formed value gets past parsing: sgm_match and
+// sgm_serve then fail on loading the missing graph, sgm_generate on writing
+// into a missing directory (exit 1), and sgm_fuzz runs its one case (exit 0).
 TEST(CliArgsTest, MalformedNumericFlagsExitWithUsageError) {
   struct Case {
     const char* tool;
-    const char* required;
+    std::string required;
     const char* flag;
     const char* value;
+    const char* valid_value = "5";
+    int valid_exit = 1;
   };
+  const std::string match = "--query missing.graph --data missing.graph";
+  const std::string serve = "--data missing.graph --workload missing.txt";
+  const std::string generate =
+      "--out missing-dir/g.graph --vertices 10 --edges 5";
+  const std::string fuzz =
+      "--cases 1 --out-dir " + ::testing::TempDir() + "cli_args_fuzz";
   const Case cases[] = {
-      {"sgm_match", "--query missing.graph --data missing.graph",
-       "--max-matches", "-5"},
-      {"sgm_match", "--query missing.graph --data missing.graph", "--threads",
-       "abc"},
-      {"sgm_serve", "--data missing.graph --workload missing.txt",
-       "--max-matches", "-5"},
-      {"sgm_serve", "--data missing.graph --workload missing.txt",
-       "--workers", "abc"},
+      {"sgm_match", match, "--max-matches", "-5"},
+      {"sgm_match", match, "--threads", "abc"},
+      {"sgm_serve", serve, "--max-matches", "-5"},
+      {"sgm_serve", serve, "--workers", "abc"},
       // 2^44 MiB is 2^64 bytes: the byte budget would wrap to 0.
-      {"sgm_serve", "--data missing.graph --workload missing.txt",
-       "--cache-mb", "17592186044416"},
+      {"sgm_serve", serve, "--cache-mb", "17592186044416"},
+      {"sgm_generate", generate, "--vertices", "-5"},
+      {"sgm_generate", generate, "--vertices", "1"},
+      {"sgm_generate", generate, "--edges", "abc"},
+      // 10 vertices hold at most 45 edges.
+      {"sgm_generate", generate, "--edges", "46", "45"},
+      {"sgm_generate", generate, "--labels", "0"},
+      {"sgm_generate", generate, "--seed", "1x"},
+      {"sgm_generate", generate, "--query-size", "2"},
+      {"sgm_generate", generate, "--update-ops", "4294967296"},
+      {"sgm_fuzz", fuzz, "--cases", "abc", "1", 0},
+      {"sgm_fuzz", fuzz, "--seed", "-1", "3", 0},
+      {"sgm_fuzz", fuzz, "--budget-s", "-1", "0", 0},
+      {"sgm_fuzz", fuzz, "--budget-s", "inf", "0", 0},
+      {"sgm_fuzz", fuzz, "--update-fraction", "abc", "0.5", 0},
+      {"sgm_fuzz", fuzz, "--update-fraction", "2", "1", 0},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.tool) + " " + c.flag + " " + c.value);
     int exit_code = 0;
-    const std::string output =
-        RunTool(c.tool,
-                std::string(c.required) + " " + c.flag + " " + c.value,
-                &exit_code);
+    const std::string output = RunTool(
+        c.tool, c.required + " " + c.flag + " " + c.value, &exit_code);
     EXPECT_EQ(exit_code, 2) << output;
     EXPECT_NE(output.find(c.flag), std::string::npos) << output;
 
-    RunTool(c.tool, std::string(c.required) + " " + c.flag + " 5",
-            &exit_code);
-    EXPECT_EQ(exit_code, 1) << "a valid value must pass parsing";
+    const std::string valid_output = RunTool(
+        c.tool, c.required + " " + c.flag + " " + c.valid_value, &exit_code);
+    EXPECT_EQ(exit_code, c.valid_exit)
+        << "a valid value must pass parsing:\n" << valid_output;
   }
 }
 

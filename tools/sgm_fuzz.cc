@@ -38,6 +38,7 @@
 #include "sgm/fuzz/minimize.h"
 #include "sgm/fuzz/oracle.h"
 #include "sgm/fuzz/reproducer.h"
+#include "sgm/util/parse.h"
 #include "sgm/util/timer.h"
 
 namespace {
@@ -110,21 +111,28 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (i + 1 < argc) return std::string(argv[++i]);
       return std::nullopt;
     };
+    const auto invalid = [&](const std::string& value) {
+      std::fprintf(stderr, "invalid value for %s: '%s'\n", flag.c_str(),
+                   value.c_str());
+      return false;
+    };
     if (flag == "--help") {
       PrintHelp();
       std::exit(0);
     } else if (flag == "--seed") {
       const auto value = next();
       if (!value.has_value()) return false;
-      args->seed = std::strtoull(value->c_str(), nullptr, 10);
+      if (!sgm::ParseUint(*value, &args->seed)) return invalid(*value);
     } else if (flag == "--budget-s") {
       const auto value = next();
       if (!value.has_value()) return false;
-      args->budget_s = std::strtod(value->c_str(), nullptr);
+      if (!sgm::ParseDouble(*value, &args->budget_s) || args->budget_s < 0.0) {
+        return invalid(*value);
+      }
     } else if (flag == "--cases") {
       const auto value = next();
       if (!value.has_value()) return false;
-      args->cases = std::strtoull(value->c_str(), nullptr, 10);
+      if (!sgm::ParseUint(*value, &args->cases)) return invalid(*value);
     } else if (flag == "--out-dir") {
       const auto value = next();
       if (!value.has_value()) return false;
@@ -136,10 +144,9 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (flag == "--update-fraction") {
       const auto value = next();
       if (!value.has_value()) return false;
-      args->update_fraction = std::strtod(value->c_str(), nullptr);
-      if (args->update_fraction < 0.0 || args->update_fraction > 1.0) {
-        std::fprintf(stderr, "--update-fraction must be in [0, 1]\n");
-        return false;
+      if (!sgm::ParseDouble(*value, &args->update_fraction) ||
+          args->update_fraction < 0.0 || args->update_fraction > 1.0) {
+        return invalid(*value);
       }
     } else if (flag == "--inject-fault") {
       args->inject_fault = true;

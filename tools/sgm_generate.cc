@@ -13,13 +13,16 @@
 //   --update-stream F additionally write a replayable update stream to F
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
 
 #include "sgm/dynamic/update_batch.h"
 #include "sgm/graph/generators.h"
 #include "sgm/graph/graph_io.h"
 #include "sgm/graph/query_generator.h"
+#include "sgm/util/parse.h"
 
 namespace {
 
@@ -84,49 +87,102 @@ void PrintHelp() {
 
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
   for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    std::string flag = argv[i];
+    // Accept --flag=value: split once, treating the remainder as the value.
+    std::optional<std::string> inline_value;
+    if (const size_t eq = flag.find('='); eq != std::string::npos) {
+      inline_value = flag.substr(eq + 1);
+      flag.resize(eq);
+    }
+    const auto next = [&]() -> std::optional<std::string> {
+      if (inline_value.has_value()) return inline_value;
+      if (i + 1 < argc) return std::string(argv[++i]);
+      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
+      return std::nullopt;
     };
-    const char* value = nullptr;
+    // Reads the flag's value as an integer in [min, max]; anything else is
+    // a usage error naming the flag.
+    const auto number = [&](auto* out, uint64_t min, uint64_t max) {
+      const auto value = next();
+      if (!value.has_value()) return false;
+      uint64_t parsed = 0;
+      if (!sgm::ParseUint(*value, &parsed, max) || parsed < min) {
+        std::fprintf(stderr, "invalid value for %s: '%s'\n", flag.c_str(),
+                     value->c_str());
+        return false;
+      }
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(parsed);
+      return true;
+    };
+    const auto text = [&](std::string* out) {
+      const auto value = next();
+      if (value.has_value()) *out = *value;
+      return value.has_value();
+    };
+    constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
+    bool ok = true;
     if (flag == "--help") {
       PrintHelp();
       std::exit(0);
-    } else if (flag == "--out" && (value = next())) {
-      args->out_path = value;
-    } else if (flag == "--vertices" && (value = next())) {
-      args->vertices = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
-    } else if (flag == "--edges" && (value = next())) {
-      args->edges = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
-    } else if (flag == "--labels" && (value = next())) {
-      args->labels = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
-    } else if (flag == "--model" && (value = next())) {
-      args->model = value;
-    } else if (flag == "--seed" && (value = next())) {
-      args->seed = std::strtoull(value, nullptr, 10);
-    } else if (flag == "--queries" && (value = next())) {
-      args->queries = static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
-    } else if (flag == "--query-size" && (value = next())) {
-      args->query_size =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
-    } else if (flag == "--density" && (value = next())) {
-      args->density = value;
-    } else if (flag == "--query-prefix" && (value = next())) {
-      args->query_prefix = value;
-    } else if (flag == "--update-stream" && (value = next())) {
-      args->update_stream_path = value;
-    } else if (flag == "--update-batches" && (value = next())) {
-      args->update_batches =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
-    } else if (flag == "--update-ops" && (value = next())) {
-      args->update_ops =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
+    } else if (flag == "--out") {
+      ok = text(&args->out_path);
+    } else if (flag == "--vertices") {
+      // Vertex ids stay below kInvalidVertex.
+      ok = number(&args->vertices, 2, sgm::kInvalidVertex);
+    } else if (flag == "--edges") {
+      ok = number(&args->edges, 1, kMax32);
+    } else if (flag == "--labels") {
+      ok = number(&args->labels, 1, kMax32);
+    } else if (flag == "--model") {
+      ok = text(&args->model);
+    } else if (flag == "--seed") {
+      ok = number(&args->seed, 0, std::numeric_limits<uint64_t>::max());
+    } else if (flag == "--queries") {
+      ok = number(&args->queries, 0, kMax32);
+    } else if (flag == "--query-size") {
+      ok = number(&args->query_size, 3, sgm::kMaxQueryVertices);
+    } else if (flag == "--density") {
+      ok = text(&args->density);
+    } else if (flag == "--query-prefix") {
+      ok = text(&args->query_prefix);
+    } else if (flag == "--update-stream") {
+      ok = text(&args->update_stream_path);
+    } else if (flag == "--update-batches") {
+      ok = number(&args->update_batches, 0, kMax32);
+    } else if (flag == "--update-ops") {
+      ok = number(&args->update_ops, 0, kMax32);
     } else {
-      std::fprintf(stderr, "unknown or incomplete flag: %s\n", flag.c_str());
+      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
     }
+    if (!ok) return false;
   }
-  return !args->out_path.empty() && args->vertices >= 2 && args->edges >= 1;
+  if (args->out_path.empty() || args->vertices == 0 || args->edges == 0) {
+    return false;
+  }
+  const uint64_t capacity =
+      static_cast<uint64_t>(args->vertices) * (args->vertices - 1) / 2;
+  if (args->edges > capacity) {
+    std::fprintf(stderr,
+                 "invalid value for --edges: %u exceeds the %llu edges of a "
+                 "simple graph on %u vertices\n",
+                 args->edges, static_cast<unsigned long long>(capacity),
+                 args->vertices);
+    return false;
+  }
+  if (args->density != "any" && args->density != "dense" &&
+      args->density != "sparse") {
+    std::fprintf(stderr, "invalid value for --density: '%s'\n",
+                 args->density.c_str());
+    return false;
+  }
+  if (args->queries > 0 && args->query_size > args->vertices) {
+    std::fprintf(stderr,
+                 "invalid value for --query-size: %u exceeds --vertices %u\n",
+                 args->query_size, args->vertices);
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
