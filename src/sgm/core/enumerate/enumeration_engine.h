@@ -77,7 +77,7 @@ class EnumerationEngine {
   void RunSubtree(Vertex root_image, uint32_t d1_begin, uint32_t d1_end);
 
   /// Single-shot convenience used by Enumerate(): restarts the clock, runs
-  /// options.root_slice_begin/end, stamps stats().enumeration_ms.
+  /// [0, options.root_slice_end), stamps stats().enumeration_ms.
   EnumerateStats Run();
 
   const EnumerateStats& stats() const { return stats_; }

@@ -41,11 +41,9 @@ EnumerationEngine::EnumerationEngine(
       weights_(weights),
       callback_(std::move(callback)),
       n_(query.vertex_count()),
-      slice_begin_(options.root_slice_begin),
       slice_end_(options.root_slice_end) {
   SGM_CHECK(n_ >= 1 && n_ <= kMaxQueryVertices);
   SGM_CHECK(order.size() == n_);
-  SGM_CHECK(options.root_slice_begin <= options.root_slice_end);
   full_mask_ = QuerySetFull(n_);
 
   position_.assign(n_, 0);
@@ -200,7 +198,7 @@ void EnumerationEngine::RunSubtree(Vertex root_image, uint32_t d1_begin,
 EnumerateStats EnumerationEngine::Run() {
   timer_.Reset();
   profile_last_ms_ = 0.0;
-  RunSlice(options_.root_slice_begin, options_.root_slice_end);
+  RunSlice(0, options_.root_slice_end);
   stats_.enumeration_ms = timer_.ElapsedMillis();
   return stats_;
 }
@@ -705,7 +703,7 @@ QueryVertexSet EnumerationEngine::Explore(uint32_t depth) {
 void EnumerationEngine::RecordMatch() {
   // Delivered-match semantics: the match is counted even when the callback
   // vetoes it — the veto stops the search *after* this delivery. The
-  // parallel matcher implements the same rule (see parallel_matcher.cc).
+  // parallel path implements the same rule (see parallel_enumerate.cc).
   ++stats_.match_count;
   if (callback_ && !callback_(mapping_)) aborted_ = true;
   if (options_.max_matches > 0 && stats_.match_count >= options_.max_matches) {

@@ -73,21 +73,21 @@ struct EnumerateOptions {
   /// EnumerationEngine::Reset(), so a per-worker engine reuses entries
   /// across work-stealing chunks.
   bool use_lc_cache = true;
-  /// Restricts the first extension to candidates [root_slice_begin,
-  /// root_slice_end) of the start vertex — the work-partitioning hook used
-  /// by the parallel matcher. Defaults cover the whole candidate set.
-  uint32_t root_slice_begin = 0;
+  /// Restricts the first extension to candidates [0, root_slice_end) of
+  /// the start vertex (the fault hook of
+  /// MatchOptions::debug_skip_last_root_candidate). The default covers the
+  /// whole candidate set.
   uint32_t root_slice_end = 0xffffffffu;
   /// Optional cooperative cancellation: checked (relaxed) every 1024
   /// recursion calls; a set flag aborts the search like a timeout, without
-  /// marking it timed out. Used by the parallel matcher so a global stop
+  /// marking it timed out. Used by the parallel path so a global stop
   /// (budget reached, callback veto) halts workers stuck in matchless
   /// subtrees. Must outlive the run; may be null.
   const std::atomic<bool>* cancel_flag = nullptr;
   /// Optional search-depth profile sink (see obs/depth_profile.h). Null (the
   /// default) keeps the recursion free of profiling work; non-null adds a
   /// few counter increments per recursion call plus one clock read per 1024
-  /// calls. Not thread-safe: one profile per engine; the parallel matcher
+  /// calls. Not thread-safe: one profile per engine; the parallel path
   /// merges per-worker profiles after the run. Must outlive the run.
   obs::DepthProfile* depth_profile = nullptr;
 };

@@ -43,6 +43,7 @@ MatchOptions ConfigSpec::ToMatchOptions(uint32_t query_vertex_count,
   options.use_lc_cache = lc_cache;
   options.max_matches = max_matches;
   options.time_limit_ms = time_limit_ms;
+  options.threads = threads;
   options.debug_skip_last_root_candidate = inject_fault;
   return options;
 }

@@ -35,12 +35,13 @@ struct ConfigSpec {
   IntersectionMethod intersection = IntersectionMethod::kHybrid;
   /// Per-depth local-candidate reuse cache (MatchOptions::use_lc_cache).
   bool lc_cache = true;
-  /// 1 = serial engine; >1 = work-stealing parallel enumeration.
+  /// MatchOptions::threads: 1 = serial engine; >1 = work-stealing parallel
+  /// enumeration.
   uint32_t threads = 1;
   /// Route the query through a MatchService (service/service.h): submitted
   /// twice against one service, so the second run executes a plan-cache
   /// hit — the differential check covers the cached-plan path. Serial
-  /// engine only (threads is ignored when set).
+  /// engine only: the service runs every request on one worker.
   bool service = false;
   /// Enables MatchOptions::debug_skip_last_root_candidate — the emulated
   /// off-by-one used to exercise the oracle and minimizer end to end.

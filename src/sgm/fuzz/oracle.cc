@@ -8,7 +8,6 @@
 #include "sgm/dynamic/continuous.h"
 #include "sgm/dynamic/dynamic_graph.h"
 #include "sgm/graph/graph_utils.h"
-#include "sgm/parallel/parallel_matcher.h"
 #include "sgm/service/service.h"
 
 namespace sgm::fuzz {
@@ -80,10 +79,6 @@ ConfigOutcome RunConfig(const FuzzCase& fuzz_case, const ConfigSpec& config,
     service::MatchResponse response = service.Match(std::move(request));
     result = std::move(response.engine);
     if (collect) *embeddings = std::move(response.embeddings);
-  } else if (config.threads > 1) {
-    result = ParallelMatchQuery(fuzz_case.query, fuzz_case.data, options,
-                                config.threads, callback)
-                 .result;
   } else {
     result = MatchQuery(fuzz_case.query, fuzz_case.data, options, callback);
   }

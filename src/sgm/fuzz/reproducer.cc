@@ -70,7 +70,8 @@ bool ParseConfigLine(const std::vector<std::string>& fields,
       if (value != "0" && value != "1") return false;
       config->lc_cache = value == "1";
     } else if (key == "threads") {
-      if (!ParseUint(value, &config->threads, 256) || config->threads == 0) {
+      if (!ParseUint(value, &config->threads, kMaxThreads) ||
+          config->threads == 0) {
         return false;
       }
     } else if (key == "fault") {

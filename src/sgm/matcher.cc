@@ -1,5 +1,6 @@
 #include "sgm/matcher.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "sgm/plan.h"
@@ -102,6 +103,17 @@ MatchOptions MatchOptions::Recommended(uint32_t query_vertex_count) {
   MatchOptions options = Optimized(Algorithm::kGraphQL);
   options.use_failing_sets = query_vertex_count > 8;
   return options;
+}
+
+double MatchResult::LoadImbalance() const {
+  double max_busy = 0.0;
+  double total_busy = 0.0;
+  for (const WorkerStats& w : worker_stats) {
+    max_busy = std::max(max_busy, w.busy_ms);
+    total_busy += w.busy_ms;
+  }
+  if (worker_stats.empty() || total_busy <= 0.0) return 1.0;
+  return max_busy * static_cast<double>(worker_stats.size()) / total_busy;
 }
 
 MatchResult MatchQuery(const Graph& query, const Graph& data,

@@ -1,5 +1,5 @@
 // PhaseTimer: one helper for the copy-pasted phase-timing blocks that used
-// to live in matcher.cc, parallel_matcher.cc and explain.cc. Begin(name)
+// to live in matcher.cc, the parallel matcher and explain.cc. Begin(name)
 // closes the running phase and starts the next; End() closes the last one.
 // Every phase is measured with the same wall clock and, when a trace buffer
 // is attached, emitted as a span with thread-CPU time alongside — so the

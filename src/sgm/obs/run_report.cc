@@ -43,12 +43,9 @@ Json BuildProvenance::ToJson() const {
   return json;
 }
 
-namespace {
-
-// Shared part of both BuildRunReport overloads: everything a MatchResult
-// knows. The parallel overload then overrides the parallel section.
-RunReport BuildCommon(const Graph& query, const Graph& data,
-                      const MatchOptions& options, const MatchResult& result) {
+RunReport BuildRunReport(const Graph& query, const Graph& data,
+                         const MatchOptions& options,
+                         const MatchResult& result) {
   RunReport report;
   const BuildProvenance provenance = BuildProvenance::Current();
   report.compiler = provenance.compiler;
@@ -99,29 +96,17 @@ RunReport BuildCommon(const Graph& query, const Graph& data,
   report.reached_match_limit = result.enumerate.reached_match_limit;
 
   report.depth_profile = result.depth_profile;
-  return report;
-}
 
-}  // namespace
-
-RunReport BuildRunReport(const Graph& query, const Graph& data,
-                         const MatchOptions& options,
-                         const MatchResult& result) {
-  return BuildCommon(query, data, options, result);
-}
-
-RunReport BuildRunReport(const Graph& query, const Graph& data,
-                         const MatchOptions& options,
-                         const ParallelMatchResult& result) {
-  RunReport report = BuildCommon(query, data, options, result.result);
-  report.engine = "parallel";
-  report.parallel_mode = ParallelModeName(result.mode);
+  if (result.workers_used > 1) {
+    report.engine = "parallel";
+    report.parallel_mode = "work-stealing";
+  }
   report.workers_used = result.workers_used;
   report.chunk_size = result.chunk_size;
   report.subtasks_published = result.subtasks_published;
   report.load_imbalance = result.LoadImbalance();
   report.workers.reserve(result.worker_stats.size());
-  for (const ParallelWorkerStats& stats : result.worker_stats) {
+  for (const WorkerStats& stats : result.worker_stats) {
     RunReportWorker worker;
     worker.root_chunks = stats.root_chunks;
     worker.stolen_subtasks = stats.stolen_subtasks;

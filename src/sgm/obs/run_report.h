@@ -1,6 +1,6 @@
 // RunReport: one structured, JSON-serializable record per query run — the
-// single schema shared by the serial matcher, the parallel matcher, the
-// sgm_match CLI (--report) and the bench runners' BENCH_*.json files.
+// single schema shared by serial and parallel runs, the sgm_match CLI
+// (--report) and the bench runners' BENCH_*.json files.
 //
 // Design rules:
 //  * Built from the returned results by a pure function (BuildRunReport);
@@ -20,7 +20,6 @@
 #include "sgm/matcher.h"
 #include "sgm/obs/depth_profile.h"
 #include "sgm/obs/json.h"
-#include "sgm/parallel/parallel_matcher.h"
 
 namespace sgm::obs {
 
@@ -43,7 +42,7 @@ struct RunReport {
   /// v6: removed the "sharding" section (sharded execution was deleted).
   static constexpr uint64_t kSchemaVersion = 6;
 
-  /// "serial" or "parallel".
+  /// "parallel" when more than one worker ran, else "serial".
   std::string engine = "serial";
 
   // ---- Build/run provenance (BuildProvenance fills these), so a
@@ -110,7 +109,7 @@ struct RunReport {
   DepthProfile depth_profile;
 
   // ---- Parallel execution (degenerate for serial runs). ----
-  /// "none" (serial), "static" or "work-stealing".
+  /// "work-stealing" when more than one worker ran, else "none".
   std::string parallel_mode = "none";
   uint32_t workers_used = 1;
   uint32_t chunk_size = 0;
@@ -185,15 +184,10 @@ struct BuildProvenance {
   Json ToJson() const;
 };
 
-/// Builds the report of a serial MatchQuery run.
+/// Builds the report of a MatchQuery/ExecutePlan run.
 RunReport BuildRunReport(const Graph& query, const Graph& data,
                          const MatchOptions& options,
                          const MatchResult& result);
-
-/// Builds the report of a ParallelMatchQuery run.
-RunReport BuildRunReport(const Graph& query, const Graph& data,
-                         const MatchOptions& options,
-                         const ParallelMatchResult& result);
 
 }  // namespace sgm::obs
 

@@ -46,7 +46,7 @@ struct WorkItem {
 };
 
 /// Shared scheduler state of one parallel enumeration run.
-/// Thread-safe; one instance per ParallelMatchQuery call.
+/// Thread-safe; one instance per parallel ExecutePlan call.
 class TaskPool {
  public:
   /// `root_count` root candidates shared by `workers` threads;

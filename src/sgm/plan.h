@@ -7,8 +7,9 @@
 // queries, the filtering, auxiliary-structure and ordering phases — the
 // dominant cost on small-to-medium queries — repeat verbatim whenever the
 // same query text comes back, so the service's plan cache retains MatchPlan
-// objects and replays only the enumeration. The parallel matcher reuses the
-// same build path (one preprocessing implementation instead of two).
+// objects and replays only the enumeration. ExecutePlan is the one way to
+// enumerate a plan, serially or (MatchOptions::threads > 1) on a
+// work-stealing pool.
 //
 // A built plan is immutable and thread-compatible: concurrent ExecutePlan
 // calls on one plan are safe because enumeration only reads it.
@@ -84,7 +85,8 @@ std::unique_ptr<MatchPlan> BuildMatchPlan(const Graph& query,
 /// Runs the enumeration phase of a prebuilt plan. `query` and `data` must
 /// be the graphs the plan was built from; `run_options` must agree with
 /// plan.options on the structural fields and supplies the per-run knobs
-/// (max_matches, time_limit_ms, collector, cancel_flag, use_lc_cache).
+/// (max_matches, time_limit_ms, threads, collector, cancel_flag,
+/// use_lc_cache).
 ///
 /// With `include_build_metrics` (the default) the returned MatchResult
 /// carries the plan's preprocessing times, so MatchQuery semantics are

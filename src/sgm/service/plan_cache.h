@@ -71,8 +71,9 @@ class PlanCache {
   /// Fingerprint of every option that shapes a built plan: filter, order,
   /// local-candidate method, aux scope, intersection method, adaptive
   /// ordering, degree-one postponement, bitmap threshold and the filter
-  /// tuning knobs. Per-run knobs (max_matches, time limit, collector,
-  /// cancel flag, lc cache) are excluded: one plan serves them all.
+  /// tuning knobs. Per-run knobs (max_matches, time limit, threads,
+  /// collector, cancel flag, lc cache) are excluded: one plan serves them
+  /// all.
   static std::string EncodeOptions(const MatchOptions& options);
 
   /// The full cache key of a (query, options) pair against one version of

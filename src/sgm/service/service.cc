@@ -342,6 +342,7 @@ MatchResponse MatchService::Run(const MatchRequest& request, double queue_ms,
 
   MatchOptions options = request.options;
   options.collector = nullptr;  // per-request collectors are not supported
+  options.threads = 1;  // one request, one worker: see the header comment
   options.cancel_flag = cancel_token;
   if (deadline_ms > 0.0) {
     options.time_limit_ms =

@@ -14,12 +14,14 @@
 //                     └─ MatchResponse through the Submit() future
 //
 // Concurrency model: the service owns `worker_count` threads; each request
-// executes serially on exactly one of them, so K in-flight requests share
-// the workers without oversubscribing cores — the same threads-as-budget
-// discipline as parallel::TaskPool, applied across requests instead of
-// across root candidates of one query. For single-query latency on an idle
-// service, ParallelMatchQuery (which fans one query out over a TaskPool)
-// remains the right tool; the service optimizes aggregate throughput.
+// executes serially on exactly one of them (the service overrides
+// MatchOptions::threads to 1), so K in-flight requests share the workers
+// without oversubscribing cores — the same threads-as-budget discipline as
+// parallel::TaskPool, applied across requests instead of across root
+// candidates of one query. For single-query latency on an idle machine,
+// MatchQuery with options.threads > 1 (which fans one query out over a
+// TaskPool) remains the right tool; the service optimizes aggregate
+// throughput.
 //
 // The data graph is mutable through ApplyUpdates (DESIGN.md §13): each
 // batch lands atomically on a dynamic::DynamicGraph, bumps the graph
@@ -83,7 +85,8 @@ struct MatchRequest {
   /// Structural options select the plan (and thus the cache key); per-run
   /// knobs (max_matches, time_limit_ms) bound this request's execution.
   /// options.collector and options.cancel_flag are ignored — use `cancel`
-  /// below; per-request collectors are not supported.
+  /// below; per-request collectors are not supported. options.threads is
+  /// ignored too: every request runs on one service worker.
   MatchOptions options;
   /// Whole-lifecycle deadline in milliseconds, measured from Submit();
   /// queueing time counts. 0 = no deadline (options.time_limit_ms still

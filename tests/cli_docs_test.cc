@@ -228,8 +228,12 @@ TEST(CliArgsTest, MalformedNumericFlagsExitWithUsageError) {
   const Case cases[] = {
       {"sgm_match", match, "--max-matches", "-5"},
       {"sgm_match", match, "--threads", "abc"},
+      // Thread counts are bounded by kMaxThreads = 256; 0 is no count.
+      {"sgm_match", match, "--threads", "0"},
+      {"sgm_match", match, "--threads", "257", "256"},
       {"sgm_serve", serve, "--max-matches", "-5"},
       {"sgm_serve", serve, "--workers", "abc"},
+      {"sgm_serve", serve, "--workers", "257", "256"},
       // 2^44 MiB is 2^64 bytes: the byte budget would wrap to 0.
       {"sgm_serve", serve, "--cache-mb", "17592186044416"},
       {"sgm_generate", generate, "--vertices", "-5"},

@@ -16,7 +16,6 @@
 #include "sgm/dynamic/update_batch.h"
 #include "sgm/graph/generators.h"
 #include "sgm/matcher.h"
-#include "sgm/parallel/parallel_matcher.h"
 #include "sgm/util/prng.h"
 #include "test_support.h"
 
@@ -206,9 +205,9 @@ void RunEquivalence(uint64_t seed, uint32_t data_vertices, uint32_t data_edges,
     const MatchResult serial =
         MatchQuery(queries[q], final_snapshot, match_options);
     EXPECT_EQ(serial.match_count, matches[q].size()) << "query " << q;
-    const ParallelMatchResult par =
-        ParallelMatchQuery(queries[q], final_snapshot, match_options, 4);
-    EXPECT_EQ(par.result.match_count, matches[q].size()) << "query " << q;
+    match_options.threads = 4;
+    const MatchResult par = MatchQuery(queries[q], final_snapshot, match_options);
+    EXPECT_EQ(par.match_count, matches[q].size()) << "query " << q;
   }
 }
 

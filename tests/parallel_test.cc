@@ -1,5 +1,3 @@
-#include "sgm/parallel/parallel_matcher.h"
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +9,7 @@
 #include "sgm/core/brute_force.h"
 #include "sgm/graph/generators.h"
 #include "sgm/graph/query_generator.h"
+#include "sgm/matcher.h"
 #include "sgm/parallel/task_pool.h"
 #include "sgm/parallel/work_queue.h"
 #include "test_support.h"
@@ -24,8 +23,8 @@ using ::sgm::testing::PaperQuery;
 
 // A maximally skewed instance: the candidates of the root query vertex are
 // one hub (whose subtree holds almost all matches) plus a few decoys with
-// two matches each. A static root split parks nearly all work on one
-// worker; work-stealing must still count exactly the same matches.
+// two matches each. Only depth-1 subtree stealing spreads the hub's work;
+// the parallel run must still count exactly the same matches.
 //
 // Data graph: hub (label 0) adjacent to every spoke (label 1); spokes form
 // a cycle; each decoy (label 0) is adjacent to one adjacent spoke pair.
@@ -64,9 +63,9 @@ TEST(ParallelMatcherTest, PaperExampleAnyThreadCount) {
   for (const uint32_t threads : {1u, 2u, 4u, 8u}) {
     MatchOptions options = MatchOptions::Optimized(Algorithm::kGraphQL);
     options.max_matches = 0;
-    const ParallelMatchResult parallel =
-        ParallelMatchQuery(PaperQuery(), PaperData(), options, threads);
-    EXPECT_EQ(parallel.result.match_count, 2u) << threads << " threads";
+    options.threads = threads;
+    const MatchResult parallel = MatchQuery(PaperQuery(), PaperData(), options);
+    EXPECT_EQ(parallel.match_count, 2u) << threads << " threads";
     EXPECT_GE(parallel.workers_used, 1u);
     EXPECT_LE(parallel.workers_used, threads);
   }
@@ -82,9 +81,8 @@ TEST(ParallelMatcherTest, AgreesWithSequentialOnRandomInputs) {
     options.max_matches = 0;
     const uint64_t sequential = MatchQuery(*query, data, options).match_count;
     for (const uint32_t threads : {2u, 3u, 5u}) {
-      const ParallelMatchResult parallel =
-          ParallelMatchQuery(*query, data, options, threads);
-      EXPECT_EQ(parallel.result.match_count, sequential)
+      options.threads = threads;
+      EXPECT_EQ(MatchQuery(*query, data, options).match_count, sequential)
           << "round " << round << " threads " << threads;
     }
   }
@@ -97,10 +95,9 @@ TEST(ParallelMatcherTest, WorksWithDpisoAdaptiveAndFailingSets) {
   ASSERT_TRUE(query.has_value());
   MatchOptions options = MatchOptions::Classic(Algorithm::kDPiso);
   options.max_matches = 0;
+  options.threads = 4;
   const uint64_t expected = BruteForceCount(*query, data);
-  const ParallelMatchResult parallel =
-      ParallelMatchQuery(*query, data, options, 4);
-  EXPECT_EQ(parallel.result.match_count, expected);
+  EXPECT_EQ(MatchQuery(*query, data, options).match_count, expected);
 }
 
 TEST(ParallelMatcherTest, GlobalMatchBudget) {
@@ -112,26 +109,27 @@ TEST(ParallelMatcherTest, GlobalMatchBudget) {
   const uint64_t total = MatchQuery(query, data, options).match_count;
   if (total < 20) GTEST_SKIP() << "instance too small";
   options.max_matches = 20;
-  const ParallelMatchResult parallel =
-      ParallelMatchQuery(query, data, options, 4);
-  EXPECT_EQ(parallel.result.match_count, 20u);
-  EXPECT_TRUE(parallel.result.enumerate.reached_match_limit);
+  options.threads = 4;
+  const MatchResult parallel = MatchQuery(query, data, options);
+  EXPECT_EQ(parallel.match_count, 20u);
+  EXPECT_TRUE(parallel.enumerate.reached_match_limit);
 }
 
 TEST(ParallelMatcherTest, CallbackSeesEveryMatchExactlyOnce) {
   MatchOptions options = MatchOptions::Optimized(Algorithm::kGraphQL);
   options.max_matches = 0;
+  options.threads = 4;
   std::mutex mutex;
   std::set<std::vector<Vertex>> seen;
-  const ParallelMatchResult parallel = ParallelMatchQuery(
-      PaperQuery(), PaperData(), options, 4,
+  const MatchResult parallel = MatchQuery(
+      PaperQuery(), PaperData(), options,
       [&](std::span<const Vertex> mapping) {
         std::lock_guard<std::mutex> lock(mutex);
         EXPECT_TRUE(
             seen.emplace(mapping.begin(), mapping.end()).second);
         return true;
       });
-  EXPECT_EQ(parallel.result.match_count, 2u);
+  EXPECT_EQ(parallel.match_count, 2u);
   EXPECT_EQ(seen.size(), 2u);
 }
 
@@ -140,9 +138,8 @@ TEST(ParallelMatcherTest, EmptyCandidatesShortCircuit) {
   const Graph data =
       ::sgm::testing::MakeGraph({0, 1, 2}, {{0, 1}, {0, 2}, {1, 2}});
   MatchOptions options = MatchOptions::Optimized(Algorithm::kGraphQL);
-  const ParallelMatchResult parallel =
-      ParallelMatchQuery(query, data, options, 4);
-  EXPECT_EQ(parallel.result.match_count, 0u);
+  options.threads = 4;
+  EXPECT_EQ(MatchQuery(query, data, options).match_count, 0u);
 }
 
 TEST(ParallelMatcherTest, WorkStealingMatchesSequentialOnSkewedWorkload) {
@@ -157,21 +154,14 @@ TEST(ParallelMatcherTest, WorkStealingMatchesSequentialOnSkewedWorkload) {
     for (const uint64_t budget : {uint64_t{0}, uint64_t{37}}) {
       MatchOptions budgeted = options;
       budgeted.max_matches = budget;
+      budgeted.threads = threads;
       const uint64_t expected =
           budget == 0 ? sequential : std::min<uint64_t>(budget, sequential);
-      for (const ParallelMode mode :
-           {ParallelMode::kWorkStealing, ParallelMode::kStaticSlices}) {
-        ParallelOptions parallel_options;
-        parallel_options.thread_count = threads;
-        parallel_options.mode = mode;
-        const ParallelMatchResult parallel = ParallelMatchQuery(
-            instance.query, instance.data, budgeted, parallel_options);
-        EXPECT_EQ(parallel.result.match_count, expected)
-            << ParallelModeName(mode) << " threads " << threads << " budget "
-            << budget;
-        EXPECT_EQ(parallel.mode, mode);
-        EXPECT_GE(parallel.LoadImbalance(), 1.0);
-      }
+      const MatchResult parallel =
+          MatchQuery(instance.query, instance.data, budgeted);
+      EXPECT_EQ(parallel.match_count, expected)
+          << "threads " << threads << " budget " << budget;
+      EXPECT_GE(parallel.LoadImbalance(), 1.0);
     }
   }
 }
@@ -181,19 +171,18 @@ TEST(ParallelMatcherTest, TinyChunksForceSubtreeStealingAndStayExact) {
   MatchOptions options = MatchOptions::Optimized(Algorithm::kGraphQL);
   options.max_matches = 0;
   options.use_failing_sets = true;
-
-  ParallelOptions parallel_options;
-  parallel_options.thread_count = 4;
-  parallel_options.chunk_size = 1;  // hub root becomes the last lone chunk
-  const ParallelMatchResult parallel = ParallelMatchQuery(
-      instance.query, instance.data, options, parallel_options);
-  EXPECT_EQ(parallel.result.match_count, instance.expected_matches);
+  // 4 roots over 4 workers: the auto chunk size is 1, so the hub root
+  // becomes a lone chunk that only subtree stealing can split.
+  options.threads = 4;
+  const MatchResult parallel =
+      MatchQuery(instance.query, instance.data, options);
+  EXPECT_EQ(parallel.match_count, instance.expected_matches);
   EXPECT_EQ(parallel.chunk_size, 1u);
 
   uint64_t chunks = 0;
   uint64_t stolen = 0;
   uint64_t matches = 0;
-  for (const ParallelWorkerStats& w : parallel.worker_stats) {
+  for (const WorkerStats& w : parallel.worker_stats) {
     chunks += w.root_chunks;
     stolen += w.stolen_subtasks;
     matches += w.matches_found;
@@ -210,36 +199,35 @@ TEST(ParallelMatcherTest, StealingRespectsBudgetWithCallback) {
   const SkewedInstance instance = MakeSkewedInstance();
   MatchOptions options = MatchOptions::Optimized(Algorithm::kGraphQL);
   options.max_matches = 11;
+  options.threads = 4;
   std::atomic<uint64_t> delivered{0};
-  ParallelOptions parallel_options;
-  parallel_options.thread_count = 4;
-  parallel_options.chunk_size = 1;
-  const ParallelMatchResult parallel = ParallelMatchQuery(
-      instance.query, instance.data, options, parallel_options,
+  const MatchResult parallel = MatchQuery(
+      instance.query, instance.data, options,
       [&](std::span<const Vertex>) {
         delivered.fetch_add(1);
         return true;
       });
   // With a callback, counting is exact: count == callbacks delivered.
-  EXPECT_EQ(parallel.result.match_count, 11u);
+  EXPECT_EQ(parallel.match_count, 11u);
   EXPECT_EQ(delivered.load(), 11u);
-  EXPECT_TRUE(parallel.result.enumerate.reached_match_limit);
+  EXPECT_TRUE(parallel.enumerate.reached_match_limit);
 }
 
 TEST(ParallelMatcherTest, CallbackVetoCountsDeliveredMatch) {
   const SkewedInstance instance = MakeSkewedInstance();
   MatchOptions options = MatchOptions::Optimized(Algorithm::kGraphQL);
   options.max_matches = 0;
+  options.threads = 4;
   std::atomic<uint64_t> delivered{0};
-  const ParallelMatchResult parallel = ParallelMatchQuery(
-      instance.query, instance.data, options, 4,
+  const MatchResult parallel = MatchQuery(
+      instance.query, instance.data, options,
       [&](std::span<const Vertex>) {
         return delivered.fetch_add(1) + 1 < 5;  // veto the 5th match
       });
   // Delivered-match semantics: the vetoed 5th match still counts, and no
   // match is delivered after the veto.
   EXPECT_EQ(delivered.load(), 5u);
-  EXPECT_EQ(parallel.result.match_count, 5u);
+  EXPECT_EQ(parallel.match_count, 5u);
 }
 
 TEST(WorkQueueTest, ChunkQueueHandsOutEveryIndexOnce) {

@@ -228,6 +228,29 @@ TEST(MatchServiceTest, SecondIdenticalRequestHitsThePlanCache) {
   EXPECT_EQ(stats.plan_cache.misses, 1u);
 }
 
+// The service runs each request on exactly one of its workers: a request
+// asking for more threads is served serially, with the same count, and
+// shares the plan-cache entry of its serial twin (threads is a run knob).
+TEST(MatchServiceTest, RequestThreadsAreClampedToOneWorker) {
+  service::ServiceOptions options;
+  options.worker_count = 1;
+  service::MatchService service(CompleteGraph(10), options);
+
+  service::MatchRequest serial;
+  serial.query = PathQuery(3);
+  serial.options.max_matches = 0;
+  service::MatchRequest fanned = serial;
+  fanned.options.threads = 8;
+  const service::MatchResponse first = service.Match(std::move(serial));
+  const service::MatchResponse second = service.Match(std::move(fanned));
+  EXPECT_EQ(first.engine.match_count, 10u * 9u * 8u);
+  EXPECT_EQ(second.engine.match_count, first.engine.match_count);
+  EXPECT_EQ(second.engine.workers_used, 1u);
+  EXPECT_TRUE(second.engine.worker_stats.empty());
+  EXPECT_TRUE(second.plan_cache_hit);
+  EXPECT_EQ(service.Stats().plan_cache.entries, 1u);
+}
+
 TEST(MatchServiceTest, CacheDisabledNeverHits) {
   service::ServiceOptions options;
   options.worker_count = 1;

@@ -231,7 +231,6 @@ int Generate(const CliArgs& args) {
     sgm::fuzz::FuzzCase fuzz_case = sgm::fuzz::GenerateCase(seed, gen_options);
     if (args.inject_fault && !fuzz_case.configs.empty()) {
       fuzz_case.configs[0].inject_fault = true;
-      fuzz_case.configs[0].threads = 1;  // The hook is a serial-engine knob.
     }
 
     // Pre-write the case so a crash inside the oracle leaves a reproducer.

@@ -14,7 +14,8 @@
 //   --no-lc-cache      disable the per-depth local-candidate reuse cache
 //   --max-matches N    stop after N matches (default 100000, 0 = all)
 //   --time-limit-ms N  per-query kill limit (default 300000)
-//   --threads N        parallel enumeration with N workers (framework only)
+//   --threads N        parallel enumeration with N workers, 1-256 (framework
+//                      only)
 //   --report FILE      write the structured RunReport JSON (framework only)
 //   --trace FILE       write a Chrome trace-event file — open it in
 //                      ui.perfetto.dev or chrome://tracing (framework only)
@@ -39,7 +40,6 @@
 #include "sgm/matcher.h"
 #include "sgm/obs/collector.h"
 #include "sgm/obs/run_report.h"
-#include "sgm/parallel/parallel_matcher.h"
 #include "sgm/util/parse.h"
 #include "sgm/wcoj/generic_join.h"
 
@@ -97,7 +97,7 @@ void PrintHelp() {
       "                      cache\n"
       "  --max-matches N     stop after N matches (default 100000, 0 = all)\n"
       "  --time-limit-ms N   per-query kill limit (default 300000)\n"
-      "  --threads N         parallel enumeration with N workers\n"
+      "  --threads N         parallel enumeration with N workers, 1-256\n"
       "                      (framework only)\n"
       "  --report FILE       write the structured RunReport JSON\n"
       "                      (framework only)\n"
@@ -177,7 +177,10 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (flag == "--threads") {
       const auto value = next();
       if (!value.has_value()) return false;
-      if (!sgm::ParseUint(*value, &args->threads)) return invalid(*value);
+      if (!sgm::ParseUint(*value, &args->threads, sgm::kMaxThreads) ||
+          args->threads == 0) {
+        return invalid(*value);
+      }
     } else if (flag == "--report") {
       const auto value = next();
       if (!value.has_value()) return false;
@@ -334,6 +337,7 @@ int main(int argc, char** argv) {
     options.use_lc_cache = args.lc_cache;
     options.max_matches = args.max_matches;
     options.time_limit_ms = args.time_limit_ms;
+    options.threads = args.threads;
 
     sgm::obs::Collector collector;
     if (!args.trace_path.empty()) collector.EnableTrace();
@@ -342,28 +346,15 @@ int main(int argc, char** argv) {
     }
     if (wants_obs) options.collector = &collector;
 
-    sgm::obs::RunReport report;
-    if (args.threads > 1) {
-      const auto parallel = sgm::ParallelMatchQuery(*query, *data, options,
-                                                    args.threads, printer);
-      matches = parallel.result.match_count;
-      total_ms = parallel.result.total_ms;
-      if (parallel.result.unsolved()) status = "timeout";
-      framework_counters = parallel.result.enumerate;
-      report = sgm::obs::BuildRunReport(*query, *data, options, parallel);
-      if (args.depth_profile && !args.count_only) {
-        PrintDepthProfile(parallel.result.depth_profile);
-      }
-    } else {
-      const auto result = sgm::MatchQuery(*query, *data, options, printer);
-      matches = result.match_count;
-      total_ms = result.total_ms;
-      if (result.unsolved()) status = "timeout";
-      framework_counters = result.enumerate;
-      report = sgm::obs::BuildRunReport(*query, *data, options, result);
-      if (args.depth_profile && !args.count_only) {
-        PrintDepthProfile(result.depth_profile);
-      }
+    const auto result = sgm::MatchQuery(*query, *data, options, printer);
+    matches = result.match_count;
+    total_ms = result.total_ms;
+    if (result.unsolved()) status = "timeout";
+    framework_counters = result.enumerate;
+    const sgm::obs::RunReport report =
+        sgm::obs::BuildRunReport(*query, *data, options, result);
+    if (args.depth_profile && !args.count_only) {
+      PrintDepthProfile(result.depth_profile);
     }
     counters = &framework_counters;
 

@@ -114,7 +114,7 @@ void PrintHelp() {
       "                      'gen size=N [density=D] [seed=S]' spec per\n"
       "                      line; '#' starts a comment\n"
       "options:\n"
-      "  --workers N         service worker threads (default 4)\n"
+      "  --workers N         service worker threads, 1-256 (default 4)\n"
       "  --concurrency K     max requests in flight (default 8)\n"
       "  --repeat R          replay each workload entry R times (default 1)\n"
       "  --cache-mb MB       plan cache memory budget in MiB (default 256)\n"
@@ -199,7 +199,11 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (flag == "--workload" && (value = next())) {
       args->workload_path = *value;
     } else if (flag == "--workers") {
-      if (!number(&args->workers)) return false;
+      value = next();
+      if (!parsed(value.has_value() &&
+                  sgm::ParseUint(*value, &args->workers, sgm::kMaxThreads))) {
+        return false;
+      }
     } else if (flag == "--concurrency") {
       if (!number(&args->concurrency)) return false;
     } else if (flag == "--repeat") {
