@@ -242,22 +242,31 @@ Graph DynamicGraph::Snapshot() const {
   std::vector<Label> labels(count);
   for (Vertex v = 0; v < count; ++v) labels[v] = label(v);
 
+  // Edges row by row, each row's (u, v > u) pairs in ascending v, so they
+  // come out in key order and the Graph constructor neither copies nor
+  // sorts them. Untouched rows come straight from the base; touched rows
+  // (every row past the base is touched, or empty) merge through
+  // CopyNeighbors.
+  std::vector<Vertex> touched;
+  touched.reserve(overlay_.size());
+  for (const auto& [v, delta] : overlay_) touched.push_back(v);
+  std::sort(touched.begin(), touched.end());
   std::vector<std::pair<Vertex, Vertex>> edges;
   edges.reserve(edge_count_);
-  // Base edges minus removals: one overlay lookup per vertex, not per edge.
-  for (Vertex u = 0; u < base_->vertex_count(); ++u) {
-    const VertexDelta* delta = FindDelta(u);
-    for (const Vertex v : base_->neighbors(u)) {
-      if (v <= u) continue;
-      if (delta != nullptr && SortedContains(delta->removed, v)) continue;
-      edges.emplace_back(u, v);
+  std::vector<Vertex> row;
+  auto next_touched = touched.begin();
+  for (Vertex u = 0; u < count; ++u) {
+    std::span<const Vertex> neighbors;
+    if (next_touched != touched.end() && *next_touched == u) {
+      ++next_touched;
+      CopyNeighbors(u, &row);
+      neighbors = row;
+    } else if (u < base_->vertex_count()) {
+      neighbors = base_->neighbors(u);
     }
-  }
-  // Overlay additions appear in both endpoints' lists; emit from the lower
-  // endpoint only.
-  for (const auto& [u, delta] : overlay_) {
-    for (const Vertex v : delta.added) {
-      if (u < v) edges.emplace_back(u, v);
+    for (auto it = std::upper_bound(neighbors.begin(), neighbors.end(), u);
+         it != neighbors.end(); ++it) {
+      edges.emplace_back(u, *it);
     }
   }
   SGM_CHECK(edges.size() == edge_count_);

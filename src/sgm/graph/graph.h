@@ -41,7 +41,9 @@ class Graph {
   /// Builds a graph from per-vertex labels and an undirected edge list.
   /// Each edge must appear exactly once (either orientation); duplicate or
   /// self-loop edges are invariant violations. Prefer GraphBuilder, which
-  /// deduplicates for you.
+  /// deduplicates for you. This is the one CSR builder: an edge list of
+  /// strictly increasing (lo, hi) pairs with lo < hi is used without a copy
+  /// or a sort; any other order is sorted as (lo << 32 | hi) keys first.
   Graph(std::vector<Label> labels, std::span<const std::pair<Vertex, Vertex>> edges);
 
   Graph(const Graph&) = default;

@@ -2,8 +2,9 @@
 //
 // GraphBuilder accepts vertices and edges in any order, silently ignores
 // duplicate edges and self loops, and produces a validated immutable Graph.
-// It is the construction path used by the generators, the IO loaders, the
-// query extractor and the tests.
+// It is the construction path used by the generators, the query extractor
+// and the tests. (The text reader collects its edges itself and builds
+// through the Graph constructor directly.)
 #ifndef SGM_GRAPH_GRAPH_BUILDER_H_
 #define SGM_GRAPH_GRAPH_BUILDER_H_
 

@@ -7,7 +7,8 @@
 //   e <u> <v>                        (one line per undirected edge)
 //
 // The degree column is redundant and is validated, not trusted. Lines
-// starting with '#' or '%' are treated as comments.
+// starting with '#' or '%' are treated as comments. An edge may appear more
+// than once, in either orientation; the header counts unique edges.
 //
 // The reader is hardened against hostile input (it is a libFuzzer target,
 // see src/sgm/fuzz/fuzzers/): numeric fields are parsed strictly — no signs,

@@ -1,5 +1,7 @@
 #include "sgm/obs/run_report.h"
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <thread>
 #include <utility>
@@ -41,6 +43,12 @@ Json BuildProvenance::ToJson() const {
   json.Set("sanitizers", Json::String(sanitizers));
   json.Set("hardware_threads", Json::Number(uint64_t{hardware_threads}));
   return json;
+}
+
+uint64_t PeakRssBytes() {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0 || usage.ru_maxrss < 0) return 0;
+  return static_cast<uint64_t>(usage.ru_maxrss) * 1024;  // ru_maxrss is KiB
 }
 
 RunReport BuildRunReport(const Graph& query, const Graph& data,
@@ -157,6 +165,7 @@ Json RunReport::ToJson() const {
   root.Set("config", std::move(config));
 
   Json phases = Json::Object();
+  phases.Set("ingest_ms", Json::Number(ingest_ms));
   phases.Set("filter_ms", Json::Number(filter_ms));
   phases.Set("aux_build_ms", Json::Number(aux_build_ms));
   phases.Set("order_ms", Json::Number(order_ms));
@@ -170,6 +179,10 @@ Json RunReport::ToJson() const {
   candidates.Set("memory_bytes", Json::Number(candidate_memory_bytes));
   candidates.Set("aux_memory_bytes", Json::Number(aux_memory_bytes));
   root.Set("candidates", std::move(candidates));
+
+  Json process = Json::Object();
+  process.Set("peak_rss_bytes", Json::Number(peak_rss_bytes));
+  root.Set("process", std::move(process));
 
   Json rounds = Json::Array();
   for (const FilterRound& round : filter_rounds) {
@@ -300,6 +313,7 @@ RunReport RunReport::FromJson(const Json& json) {
     report.time_limit_ms = config->GetDouble("time_limit_ms");
   }
   if (const Json* phases = json.Get("phases"); phases != nullptr) {
+    report.ingest_ms = phases->GetDouble("ingest_ms");
     report.filter_ms = phases->GetDouble("filter_ms");
     report.aux_build_ms = phases->GetDouble("aux_build_ms");
     report.order_ms = phases->GetDouble("order_ms");
@@ -311,6 +325,9 @@ RunReport RunReport::FromJson(const Json& json) {
     report.average_candidates = candidates->GetDouble("average");
     report.candidate_memory_bytes = candidates->GetUint64("memory_bytes");
     report.aux_memory_bytes = candidates->GetUint64("aux_memory_bytes");
+  }
+  if (const Json* process = json.Get("process"); process != nullptr) {
+    report.peak_rss_bytes = process->GetUint64("peak_rss_bytes");
   }
   if (const Json* rounds = json.Get("filter_rounds");
       rounds != nullptr && rounds->is_array()) {

@@ -40,7 +40,9 @@ struct RunReport {
   /// v4: added the always-emitted "sharding" section.
   /// v5: added the always-emitted "dynamic" section.
   /// v6: removed the "sharding" section (sharded execution was deleted).
-  static constexpr uint64_t kSchemaVersion = 6;
+  /// v7: added "phases.ingest_ms" and the "process" section
+  ///     ("peak_rss_bytes").
+  static constexpr uint64_t kSchemaVersion = 7;
 
   /// "parallel" when more than one worker ran, else "serial".
   std::string engine = "serial";
@@ -78,6 +80,9 @@ struct RunReport {
   double time_limit_ms = 0.0;
 
   // ---- Per-phase wall times. ----
+  /// Time spent loading the data and query graphs. The matcher never sees
+  /// it, so the caller that loaded them (sgm_match) fills it; 0 otherwise.
+  double ingest_ms = 0.0;
   double filter_ms = 0.0;
   double aux_build_ms = 0.0;
   double order_ms = 0.0;
@@ -104,6 +109,10 @@ struct RunReport {
   uint64_t lc_cache_misses = 0;
   bool timed_out = false;
   bool reached_match_limit = false;
+
+  /// Peak resident set size of the reporting process when the report was
+  /// written (PeakRssBytes()); 0 when the caller did not fill it.
+  uint64_t peak_rss_bytes = 0;
 
   /// Per-depth search profile; empty unless the run collected one.
   DepthProfile depth_profile;
@@ -183,6 +192,10 @@ struct BuildProvenance {
 
   Json ToJson() const;
 };
+
+/// Peak resident set size of this process so far, in bytes (getrusage);
+/// 0 if the call fails.
+uint64_t PeakRssBytes();
 
 /// Builds the report of a MatchQuery/ExecutePlan run.
 RunReport BuildRunReport(const Graph& query, const Graph& data,

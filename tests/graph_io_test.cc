@@ -182,5 +182,97 @@ TEST(GraphIoTest, LoadMissingFileFails) {
   EXPECT_FALSE(error.empty());
 }
 
+// ---- Reader semantics every input format change must keep. ----
+
+std::optional<Graph> Read(const std::string& text, std::string* error) {
+  std::istringstream in(text);
+  return ReadGraph(in, error);
+}
+
+TEST(GraphIoTest, AcceptsDuplicateEdgesInBothOrientations) {
+  std::string error;
+  const auto graph = Read(
+      "t 3 2\nv 0 0 1\nv 1 0 2\nv 2 0 1\n"
+      "e 0 1\ne 1 0\ne 1 2\ne 0 1\ne 2 1\n",
+      &error);
+  ASSERT_TRUE(graph.has_value()) << error;
+  EXPECT_EQ(graph->edge_count(), 2u);
+  EXPECT_TRUE(graph->HasEdge(0, 1));
+  EXPECT_TRUE(graph->HasEdge(1, 2));
+}
+
+TEST(GraphIoTest, AcceptsLastLineWithoutNewline) {
+  std::string error;
+  const auto graph = Read("t 2 1\nv 0 0\nv 1 0\ne 1 0", &error);
+  ASSERT_TRUE(graph.has_value()) << error;
+  EXPECT_EQ(graph->edge_count(), 1u);
+}
+
+TEST(GraphIoTest, AcceptsTabSeparators) {
+  std::string error;
+  const auto graph = Read("t\t2 1\nv\t0\t4\t1\nv 1\t5 1\ne\t0\t\t1\n", &error);
+  ASSERT_TRUE(graph.has_value()) << error;
+  EXPECT_EQ(graph->label(0), 4u);
+  EXPECT_EQ(graph->label(1), 5u);
+  EXPECT_EQ(graph->edge_count(), 1u);
+}
+
+TEST(GraphIoTest, SkipsWhitespaceOnlyLines) {
+  std::string error;
+  const auto graph =
+      Read("  \nt 2 1\n\t\nv 0 0\n \r\nv 1 0\n\v\f\ne 0 1\n   ", &error);
+  ASSERT_TRUE(graph.has_value()) << error;
+  EXPECT_EQ(graph->edge_count(), 1u);
+}
+
+TEST(GraphIoTest, RejectsIndentedCommentAsUnknownRecord) {
+  // Only a '#' or '%' in the first column starts a comment.
+  std::string error;
+  EXPECT_FALSE(Read("t 1 0\n  # x\nv 0 0\n", &error).has_value());
+  EXPECT_NE(error.find("unknown record '#'"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+}
+
+TEST(GraphIoTest, MalformedRecordErrorsKeepTheirLineNumber) {
+  std::string error;
+  EXPECT_FALSE(
+      Read("# header next\nt 3 1\n\nv 0 0\nv 1 0\nv 2 0\ne 0 1 2\n", &error)
+          .has_value());
+  EXPECT_EQ(error, "malformed edge at line 7");
+  EXPECT_FALSE(Read("t 2 0\nv 0 0\nv 1 x\n", &error).has_value());
+  EXPECT_EQ(error, "malformed vertex at line 3");
+  EXPECT_FALSE(Read("t 2 0\nv 0 0 1 2 3\n", &error).has_value());
+  EXPECT_EQ(error, "malformed vertex at line 2");
+  EXPECT_FALSE(Read("\r\nt 2\n", &error).has_value());
+  EXPECT_EQ(error, "malformed header at line 2");
+}
+
+TEST(GraphIoTest, RejectsEdgesBeyondTheDeclaredCountEarly) {
+  // 10k distinct edges under a header that declares 2. The reader must stop
+  // once the unique edges exceed the count rather than buffer the rest,
+  // whether the records come sorted (found at the third) or not (found when
+  // the buffer reaches twice the count and is deduplicated).
+  std::string sorted = "t 200 2\n";
+  for (int v = 0; v < 200; ++v) {
+    sorted += "v " + std::to_string(v) + " 0\n";
+  }
+  std::string unsorted = sorted;
+  int added = 0;
+  for (int u = 0; u < 200 && added < 10000; ++u) {
+    for (int v = u + 1; v < 200 && added < 10000; ++v, ++added) {
+      sorted += "e " + std::to_string(u) + " " + std::to_string(v) + "\n";
+      unsorted += "e " + std::to_string(199 - u) + " " +
+                  std::to_string(199 - v) + "\n";
+    }
+  }
+  std::string error;
+  EXPECT_FALSE(Read(sorted, &error).has_value());
+  EXPECT_NE(error.find("edge count mismatch"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 204"), std::string::npos) << error;
+  EXPECT_FALSE(Read(unsorted, &error).has_value());
+  EXPECT_NE(error.find("edge count mismatch"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 205"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace sgm

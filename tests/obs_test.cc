@@ -419,8 +419,13 @@ TEST(RunReportTest, SerialReportRoundTripsThroughJson) {
   const Graph query = PaperQuery();
   const Graph data = PaperData();
   const MatchResult result = MatchQuery(query, data, options);
-  const obs::RunReport report =
-      obs::BuildRunReport(query, data, options, result);
+  obs::RunReport report = obs::BuildRunReport(query, data, options, result);
+  // BuildRunReport leaves the caller's fields at zero; sgm_match fills them.
+  EXPECT_EQ(report.ingest_ms, 0.0);
+  EXPECT_EQ(report.peak_rss_bytes, 0u);
+  report.ingest_ms = 12.5;
+  report.peak_rss_bytes = obs::PeakRssBytes();
+  EXPECT_GT(report.peak_rss_bytes, 0u);
 
   EXPECT_EQ(report.engine, "serial");
   EXPECT_EQ(report.match_count, 2u);
@@ -440,6 +445,8 @@ TEST(RunReportTest, SerialReportRoundTripsThroughJson) {
   EXPECT_EQ(parsed->GetUint64("schema_version"),
             obs::RunReport::kSchemaVersion);
   const obs::RunReport restored = obs::RunReport::FromJson(*parsed);
+  EXPECT_EQ(restored.ingest_ms, 12.5);
+  EXPECT_EQ(restored.peak_rss_bytes, report.peak_rss_bytes);
   EXPECT_EQ(restored.ToJson().Dump(2), dumped);
 }
 
@@ -567,6 +574,9 @@ TEST(RunReportTest, SerialAndParallelReportsShareSchema) {
   CollectObjectPaths(serial_json, "", &serial_paths);
   CollectObjectPaths(parallel_json, "", &parallel_paths);
   EXPECT_EQ(serial_paths, parallel_paths);
+  // Schema v7: the ingest time and peak RSS are always present.
+  EXPECT_EQ(serial_paths.count("phases.ingest_ms"), 1u);
+  EXPECT_EQ(serial_paths.count("process.peak_rss_bytes"), 1u);
 
   // ... with matching results and configuration.
   EXPECT_EQ(serial_report.engine, "serial");

@@ -41,6 +41,7 @@
 #include "sgm/obs/collector.h"
 #include "sgm/obs/run_report.h"
 #include "sgm/util/parse.h"
+#include "sgm/util/timer.h"
 #include "sgm/wcoj/generic_join.h"
 
 namespace {
@@ -249,6 +250,7 @@ int main(int argc, char** argv) {
   }
 
   std::string error;
+  const sgm::Timer ingest_timer;
   const auto query = sgm::LoadGraphFile(args.query_path, &error);
   if (!query.has_value()) {
     std::fprintf(stderr, "failed to load query: %s\n", error.c_str());
@@ -259,6 +261,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failed to load data graph: %s\n", error.c_str());
     return 1;
   }
+  const double ingest_ms = ingest_timer.ElapsedMillis();
   if (query->vertex_count() == 0) {
     std::fprintf(stderr, "query graph has no vertices\n");
     return 1;
@@ -351,8 +354,10 @@ int main(int argc, char** argv) {
     total_ms = result.total_ms;
     if (result.unsolved()) status = "timeout";
     framework_counters = result.enumerate;
-    const sgm::obs::RunReport report =
+    sgm::obs::RunReport report =
         sgm::obs::BuildRunReport(*query, *data, options, result);
+    report.ingest_ms = ingest_ms;
+    report.peak_rss_bytes = sgm::obs::PeakRssBytes();
     if (args.depth_profile && !args.count_only) {
       PrintDepthProfile(result.depth_profile);
     }
